@@ -54,6 +54,8 @@ pub struct EngineOpts {
     /// [`DtwKind::MaxAbs`]).
     pub kind: DtwKind,
     /// Worker threads for candidate verification (default 1, sequential).
+    /// kNN does not consult it: a best-first stream verifies one candidate
+    /// at a time against a threshold the previous one may have tightened.
     pub threads: usize,
     /// How candidates are verified: exact early-abandoning DTW or a
     /// Sakoe–Chiba band (default [`VerifyMode::Exact`]).

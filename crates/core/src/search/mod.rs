@@ -24,12 +24,12 @@ mod verify;
 pub use engine::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome};
 pub use fastmap_search::{false_dismissals, FastMapSearch};
 pub use hybrid::{HybridPlan, HybridSearch};
-pub use knn::{KnnMatch, KnnOutcome};
+pub use knn::{KnnMatch, KnnOutcome, ShardedKnnOutcome};
 pub use lb_scan::LbScan;
 pub use naive_scan::NaiveScan;
 pub use parallel::parallel_query_batch;
 pub use resilient::ResilientSearch;
-pub use sharded::{CorpusSharder, ShardHandle, ShardedKnnOutcome, ShardedOutcome, ShardedSearch};
+pub use sharded::{CorpusSharder, ShardHandle, ShardedOutcome, ShardedSearch};
 pub use st_filter::StFilterSearch;
 pub use subsequence::{SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, WindowSpec};
 pub use tw_sim_search::{TwSimSearch, VerifyMode};

@@ -4,10 +4,11 @@
 //! A corpus beyond what one store file (and one R-tree build) handles
 //! comfortably is split into fixed-capacity shards (`tw_storage::shard`),
 //! each with its own segment file, STR-bulk-loaded index and envelope
-//! sidecar. [`ShardedSearch`] owns one [`ShardHandle`] per shard and
-//! answers range and kNN queries by querying every shard — sequentially or
-//! on scoped worker threads — then merging the per-shard
-//! [`SearchOutcome`]s:
+//! sidecar. [`ShardedSearch`] owns one [`ShardHandle`] per shard. kNN is
+//! one global best-first search with every shard as a source (see
+//! `search/knn.rs`); range queries run against every shard —
+//! sequentially or on scoped worker threads — and the per-shard
+//! [`SearchOutcome`]s merge:
 //!
 //! * **matches** — shard-local ids are remapped by the shard's base id;
 //!   shards own contiguous ascending id ranges, so concatenating per-shard
@@ -41,14 +42,14 @@ use tw_storage::{
     SequenceStore, ShardManifest,
 };
 
-use crate::distance::dtw;
 use crate::error::{validate_tolerance, TwError};
 use crate::govern::{termination_of, CancelToken};
+use crate::search::knn::{knn_best_first, KnnSource};
 use crate::search::{
-    EngineHealth, EngineOpts, KnnMatch, KnnOutcome, ResilientSearch, SearchEngine, SearchOutcome,
-    SearchStats, TwSimSearch,
+    EngineHealth, EngineOpts, ResilientSearch, SearchEngine, SearchOutcome, ShardedKnnOutcome,
+    TwSimSearch,
 };
-use crate::stats::{wall_now, PipelineCounters};
+use crate::stats::wall_now;
 
 /// One shard: its slice of the id space, its open segment store, its
 /// (resilient) per-shard engine and its optional envelope sidecar.
@@ -90,15 +91,6 @@ pub struct ShardedOutcome {
     pub merged: SearchOutcome,
     /// Each shard's own outcome, in shard order.
     pub per_shard: Vec<SearchOutcome>,
-}
-
-/// [`ShardedOutcome`]'s kNN counterpart.
-#[derive(Debug, Clone)]
-pub struct ShardedKnnOutcome {
-    /// The corpus-level k nearest neighbours.
-    pub merged: KnnOutcome,
-    /// Each shard's own top-k, in shard order.
-    pub per_shard: Vec<KnnOutcome>,
 }
 
 /// The fan-out engine over a sharded corpus.
@@ -254,8 +246,9 @@ impl<S: Pager + Send> ShardedSearch<S> {
     }
 
     /// Runs `job` once per shard — in shard order when `opts.threads == 1`
-    /// (deterministic call order for mockable clocks), on scoped worker
-    /// threads otherwise — returning results in shard order either way.
+    /// (deterministic call order for mockable clocks), otherwise in
+    /// `workers` chunks: the first on the calling thread, the rest on
+    /// scoped worker threads — returning results in shard order either way.
     fn fan_out<T: Send>(
         &self,
         threads: usize,
@@ -266,20 +259,18 @@ impl<S: Pager + Send> ShardedSearch<S> {
         if workers <= 1 {
             return self.shards.iter().map(job).collect();
         }
-        let chunk = n.div_ceil(workers);
+        let job = &job;
+        let mut parts = self.shards.chunks(n.div_ceil(workers));
+        let first = parts.next().unwrap_or_default();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .chunks(chunk)
-                .map(|part| {
-                    let job = &job;
-                    scope.spawn(move || part.iter().map(job).collect::<Vec<T>>())
-                })
+            let handles: Vec<_> = parts
+                .map(|part| scope.spawn(move || part.iter().map(job).collect::<Vec<T>>()))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
+            let mut results: Vec<T> = first.iter().map(job).collect();
+            for h in handles {
+                results.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            results
         })
     }
 
@@ -332,50 +323,26 @@ impl<S: Pager + Send> ShardedSearch<S> {
         Ok(ShardedOutcome { merged, per_shard })
     }
 
-    /// The fan-out kNN query: each shard reports its own exact top-k
-    /// (through its index, or a governed exact scan when the index is
-    /// offline), and the global top-k is selected from the union —
-    /// sound because every shard's k-th best bounds anything that shard
-    /// could still contribute.
+    /// The corpus-level kNN query: one global best-first search with every
+    /// shard as a source (`search/knn.rs`), on the calling thread
+    /// (`opts.threads` is not consulted). A shard whose index is offline is
+    /// a source without lower bounds — all of its sequences are verified.
     pub fn knn_sharded(
         &self,
         query: &[f64],
         k: usize,
         opts: &EngineOpts,
     ) -> Result<ShardedKnnOutcome, TwError> {
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let results = self.fan_out(opts.threads, |shard| {
-            let shard_opts = Self::shard_opts(shard, opts, &token);
-            match shard.engine.primary() {
-                Some(primary) => primary.knn_governed(&shard.store, query, k, &shard_opts),
-                None => knn_scan(&shard.store, query, k, &shard_opts),
-            }
-        });
-
-        let mut merged = KnnOutcome::default();
-        let mut per_shard = Vec::with_capacity(results.len());
-        for (result, shard) in results.into_iter().zip(&self.shards) {
-            let mut out = result?;
-            for m in &mut out.matches {
-                m.id += shard.base_id;
-            }
-            merged.matches.extend(out.matches.iter().copied());
-            merged.stats.accumulate(&out.stats);
-            merged.query_stats.merge(&out.query_stats);
-            per_shard.push(out);
-        }
-        merged
-            .matches
-            .sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        merged.matches.truncate(k);
-        merged.stats.db_size = usize::try_from(self.total_sequences()).unwrap_or(usize::MAX);
-        merged.stats.cpu_time = started.elapsed();
-        merged.termination = termination_of(&token);
-        Ok(ShardedKnnOutcome { merged, per_shard })
+        let sources: Vec<KnnSource<'_, S>> = self
+            .shards
+            .iter()
+            .map(|shard| KnnSource {
+                tree: shard.engine.primary().map(TwSimSearch::tree),
+                store: &shard.store,
+                base_id: shard.base_id,
+            })
+            .collect();
+        knn_best_first(&sources, query, k, opts.kind, &opts.arm_budget())
     }
 }
 
@@ -396,74 +363,6 @@ impl<P: Pager, S: Pager + Send> SearchEngine<P> for ShardedSearch<S> {
         self.range_search_sharded(query, epsilon, opts)
             .map(|o| o.merged)
     }
-}
-
-/// Governed exact kNN by scanning a (shard's) store — the degraded path
-/// when a shard's index is offline. Every reported distance is exact;
-/// under a tripped budget the un-scanned remainder is ledgered as
-/// `skipped_unverified`.
-fn knn_scan<P: Pager>(
-    store: &SequenceStore<P>,
-    query: &[f64],
-    k: usize,
-    opts: &EngineOpts,
-) -> Result<KnnOutcome, TwError> {
-    let started = wall_now();
-    let token = opts.arm_budget();
-    let _governed = store.govern_scope(&token);
-    store.take_io();
-    let retries_before = store.checksum_retries();
-    let counters = PipelineCounters::new();
-    let mut stats = SearchStats {
-        db_size: store.len(),
-        ..Default::default()
-    };
-    let total = store.len() as u64;
-    let mut best: Vec<KnnMatch> = Vec::new();
-    let mut verified = 0u64;
-    let mut skipped = 0u64;
-    if k > 0 {
-        for id in 0..total {
-            if token.cancelled() {
-                skipped = total - id;
-                break;
-            }
-            let values = store.get(id)?;
-            let _ =
-                token.charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
-            stats.dtw_invocations += 1;
-            let r = dtw(&values, query, opts.kind);
-            let _ = token.charge_cells(r.cells);
-            stats.dtw_cells += r.cells;
-            counters.add_dtw_cells(r.cells);
-            verified += 1;
-            let m = KnnMatch {
-                id,
-                distance: r.distance,
-            };
-            let pos = best
-                .binary_search_by(|x| x.distance.total_cmp(&m.distance))
-                .unwrap_or_else(|p| p);
-            best.insert(pos, m);
-            if best.len() > k {
-                best.pop();
-            }
-        }
-    }
-    stats.candidates = usize::try_from(verified).unwrap_or(usize::MAX);
-    counters.add_candidates(verified + skipped);
-    counters.add_verified(verified);
-    counters.add_skipped_unverified(skipped);
-    stats.io = store.take_io();
-    counters.add_pager_reads(stats.io.total_pages());
-    counters.add_checksum_retries(store.checksum_retries() - retries_before);
-    stats.cpu_time = started.elapsed();
-    Ok(KnnOutcome {
-        matches: best,
-        stats,
-        query_stats: counters.snapshot(),
-        termination: termination_of(&token),
-    })
 }
 
 /// Fold-by-fold corpus ingest: appends stream into the current segment;
@@ -857,6 +756,16 @@ mod tests {
         assert_eq!(got.merged.ids(), expect.ids());
         assert!(got.merged.health.is_degraded());
         assert!(got.merged.health.to_string().contains("shard 1"));
+        // kNN: the index-less shard is a source without lower bounds — all
+        // eight of its sequences are verified, none through an index — and
+        // the neighbours are the healthy corpus's.
+        let knn = sharded.knn_sharded(&query, 5, &opts).unwrap();
+        let expect = flat.knn_governed(&store, &query, 5, &opts).unwrap();
+        assert_eq!(knn.merged.matches, expect.matches);
+        let scanned = &knn.per_shard[1].query_stats;
+        assert_eq!(scanned.candidates, 8);
+        assert_eq!(scanned.index_node_accesses(), 0);
+        assert!(knn.merged.query_stats.accounting_balanced());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -53,7 +53,7 @@ pub use geometry::{Point, Rect};
 pub use node::{DataId, Entry, NodeId, Payload};
 pub use page::{PageLayout, BOUND_BYTES, NODE_HEADER_BYTES, PAYLOAD_BYTES};
 pub use persist::{read_tree_file, write_tree_file, DecodeError, PersistError};
-pub use query::{KnnMetric, KnnResult, Neighbor, QueryStats, RangeResult};
+pub use query::{KnnMetric, KnnResult, Nearest, Neighbor, QueryStats, RangeResult};
 pub use split::SplitAlgorithm;
 pub use stats::TreeQuality;
 pub use summary::NodeSummary;

@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::geometry::{Point, Rect};
-use crate::node::{DataId, Payload};
+use crate::node::{DataId, NodeId, Payload};
 use crate::tree::RTree;
 
 /// Node-access accounting attached to every query result.
@@ -102,81 +102,139 @@ impl<const D: usize> RTree<D> {
         self.range(&Rect::centered(center, epsilon))
     }
 
-    /// Best-first k-nearest-neighbour search (Hjaltason & Samet).
-    pub fn knn(&self, query: &Point<D>, k: usize, metric: KnnMetric) -> KnnResult {
-        let mut stats = QueryStats::default();
-        let mut neighbors: Vec<Neighbor> = Vec::with_capacity(k);
-        if k == 0 || self.is_empty() {
-            if !self.is_empty() || k == 0 {
-                // Match range(): an empty tree costs one root inspection.
-            }
-            stats.leaf_accesses = u64::from(self.is_empty());
-            return KnnResult { neighbors, stats };
-        }
-
-        #[derive(Debug)]
-        enum Item {
-            Node(crate::node::NodeId),
-            Object(DataId),
-        }
-        struct Queued {
-            dist: f64,
-            item: Item,
-        }
-        impl PartialEq for Queued {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == Ordering::Equal
-            }
-        }
-        impl Eq for Queued {}
-        impl PartialOrd for Queued {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Queued {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on distance via reversed comparison; total_cmp keeps
-                // the order total even if a NaN distance ever slips in.
-                other.dist.total_cmp(&self.dist)
-            }
-        }
-
-        let rect_dist = |r: &Rect<D>| match metric {
-            KnnMetric::Euclidean => r.min_dist_sq(query).sqrt(),
-            KnnMetric::Chebyshev => r.min_dist_chebyshev(query),
-        };
-
+    /// An incremental best-first nearest-neighbour cursor over this tree
+    /// (Hjaltason & Samet): neighbours come out one at a time in
+    /// non-decreasing distance, and the caller decides when to stop.
+    pub fn nearest(&self, query: &Point<D>, metric: KnnMetric) -> Nearest<'_, D> {
         let mut heap = BinaryHeap::new();
-        heap.push(Queued {
-            dist: 0.0,
-            item: Item::Node(self.root_id()),
-        });
-        while let Some(Queued { dist, item }) = heap.pop() {
-            if neighbors.len() == k {
-                break;
-            }
-            match item {
-                Item::Object(id) => neighbors.push(Neighbor { id, distance: dist }),
-                Item::Node(node_id) => {
-                    let node = self.node(node_id);
-                    if node.is_leaf() {
-                        stats.leaf_accesses += 1;
-                    } else {
-                        stats.internal_accesses += 1;
-                    }
-                    for e in &node.entries {
-                        let d = rect_dist(&e.rect);
-                        let item = match e.payload {
-                            Payload::Child(c) => Item::Node(c),
-                            Payload::Data(id) => Item::Object(id),
-                        };
-                        heap.push(Queued { dist: d, item });
-                    }
+        let mut stats = QueryStats::default();
+        if self.is_empty() {
+            // Match range(): an empty tree costs one root inspection.
+            stats.leaf_accesses = 1;
+        } else {
+            heap.push(Queued {
+                dist: 0.0,
+                item: Item::Node(self.root_id()),
+            });
+        }
+        Nearest {
+            tree: self,
+            query: *query,
+            metric,
+            heap,
+            stats,
+        }
+    }
+
+    /// The `k` nearest objects: the first `k` the [`Self::nearest`] cursor
+    /// yields.
+    pub fn knn(&self, query: &Point<D>, k: usize, metric: KnnMetric) -> KnnResult {
+        let mut cursor = self.nearest(query, metric);
+        let mut neighbors = Vec::with_capacity(k.min(self.len()));
+        neighbors.extend(cursor.by_ref().take(k));
+        KnnResult {
+            neighbors,
+            stats: cursor.stats(),
+        }
+    }
+}
+
+enum Item {
+    Node(NodeId),
+    Object(DataId),
+}
+
+struct Queued {
+    dist: f64,
+    item: Item,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Queued {}
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Min-heap on distance via reversed comparison; total_cmp keeps
+        // the order total even if a NaN distance ever slips in.
+        other.dist.total_cmp(&self.dist)
+    }
+}
+
+/// The best-first traversal state behind [`RTree::nearest`]: a priority
+/// queue of unexpanded nodes and unyielded objects keyed by their distance
+/// from the query point. As an [`Iterator`] it yields every object exactly
+/// once, in non-decreasing distance.
+pub struct Nearest<'t, const D: usize> {
+    tree: &'t RTree<D>,
+    query: Point<D>,
+    metric: KnnMetric,
+    heap: BinaryHeap<Queued>,
+    stats: QueryStats,
+}
+
+impl<const D: usize> Nearest<'_, D> {
+    /// A lower bound on the distance of everything not yet yielded — the
+    /// queue's head, whether that is an object or an unexpanded node.
+    /// `None` once the traversal is exhausted.
+    pub fn bound(&self) -> Option<f64> {
+        self.heap.peek().map(|q| q.dist)
+    }
+
+    /// Node accesses so far.
+    pub fn stats(&self) -> QueryStats {
+        self.stats
+    }
+
+    /// Pops the queue's head: an object is yielded, a node is read and its
+    /// entries queued (yielding nothing). One step never reads more than
+    /// one node, so a caller interleaving several cursors by
+    /// [`Self::bound`] expands no node farther than it needs.
+    pub fn step(&mut self) -> Option<Neighbor> {
+        let Queued { dist, item } = self.heap.pop()?;
+        match item {
+            Item::Object(id) => Some(Neighbor { id, distance: dist }),
+            Item::Node(node_id) => {
+                let node = self.tree.node(node_id);
+                if node.is_leaf() {
+                    self.stats.leaf_accesses += 1;
+                } else {
+                    self.stats.internal_accesses += 1;
                 }
+                for e in &node.entries {
+                    let dist = match self.metric {
+                        KnnMetric::Euclidean => e.rect.min_dist_sq(&self.query).sqrt(),
+                        KnnMetric::Chebyshev => e.rect.min_dist_chebyshev(&self.query),
+                    };
+                    let item = match e.payload {
+                        Payload::Child(c) => Item::Node(c),
+                        Payload::Data(id) => Item::Object(id),
+                    };
+                    self.heap.push(Queued { dist, item });
+                }
+                None
             }
         }
-        KnnResult { neighbors, stats }
+    }
+}
+
+impl<const D: usize> Iterator for Nearest<'_, D> {
+    type Item = Neighbor;
+
+    fn next(&mut self) -> Option<Neighbor> {
+        while !self.heap.is_empty() {
+            if let Some(neighbor) = self.step() {
+                return Some(neighbor);
+            }
+        }
+        None
     }
 }
 

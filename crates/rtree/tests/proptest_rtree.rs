@@ -138,6 +138,46 @@ proptest! {
         }
     }
 
+    /// The incremental cursor yields every object exactly once in
+    /// non-decreasing distance, its `bound()` never overshoots what comes
+    /// next, and `knn(k)` is its first `k` at the same node-access cost.
+    #[test]
+    fn nearest_cursor_is_an_ordered_exhaustive_stream(
+        points in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..100),
+        query in (-60.0f64..60.0, -60.0f64..60.0),
+        k in 0usize..12,
+    ) {
+        let q = Point::new([query.0, query.1]);
+        let items: Vec<(Point<2>, u64)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (Point::new([x, y]), i as u64))
+            .collect();
+        let tree = RTree::bulk_load(configs()[1], items);
+        for metric in [KnnMetric::Euclidean, KnnMetric::Chebyshev] {
+            let mut cursor = tree.nearest(&q, metric);
+            let mut yielded = Vec::new();
+            let mut stats_at = vec![cursor.stats()];
+            while let Some(bound) = cursor.bound() {
+                if let Some(n) = cursor.step() {
+                    prop_assert!(bound <= n.distance, "{metric:?}: bound {bound} > {n:?}");
+                    yielded.push(n);
+                    stats_at.push(cursor.stats());
+                }
+            }
+            prop_assert!(cursor.step().is_none());
+            prop_assert!(yielded.windows(2).all(|w| w[0].distance <= w[1].distance));
+            let mut ids: Vec<u64> = yielded.iter().map(|n| n.id).collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..points.len() as u64).collect::<Vec<_>>());
+
+            let res = tree.knn(&q, k, metric);
+            let take = k.min(yielded.len());
+            prop_assert_eq!(&res.neighbors[..], &yielded[..take]);
+            prop_assert_eq!(res.stats, stats_at[take]);
+        }
+    }
+
     /// Serialization round-trips arbitrary trees.
     #[test]
     fn persist_roundtrip(

@@ -503,6 +503,18 @@ fn knn_budget_returns_exact_partial_neighbours() {
         "{:?}",
         out.query_stats
     );
+    // The budget is smaller than one 35 × 35 table, so it trips *inside* the
+    // first DP: nothing is verified, the one started candidate is ledgered
+    // as skipped, and the cells spent stop short of a full table.
+    assert!(out.matches.is_empty(), "{:?}", out.matches);
+    assert_eq!(out.query_stats.skipped_unverified, 1);
+    assert_eq!(out.query_stats.candidates, 1);
+    let table = (query.len() * data[0].len()) as u64;
+    assert!(
+        out.query_stats.dtw_cells > 500 && out.query_stats.dtw_cells < table,
+        "{} cells of a {table}-cell table",
+        out.query_stats.dtw_cells
+    );
 }
 
 #[test]

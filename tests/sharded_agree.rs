@@ -7,10 +7,12 @@
 //! The property runs over seeded random-walk corpora at shard counts 1, 2,
 //! 4 and 8 (including counts that don't divide the corpus evenly), verify
 //! threads 1, 2 and 4, with the tiered cascade off and on, for both range
-//! and kNN queries.
+//! and kNN queries. For kNN the *work* must agree too (same candidates,
+//! same DPs, same cells), and exact ties at the k-th distance are cut by
+//! global id on every layout.
 
 use proptest::prelude::*;
-use tw_core::distance::DtwKind;
+use tw_core::distance::{dtw, DtwKind};
 use tw_core::govern::Termination;
 use tw_core::search::{EngineOpts, SearchEngine, ShardedSearch, TwSimSearch};
 use tw_core::CascadeSpec;
@@ -94,6 +96,17 @@ fn assert_sharded_agrees(data: &[Vec<f64>], queries: &[Vec<f64>], epsilons: &[f6
                                 g.id
                             );
                         }
+                        // kNN work is a pure function of the data: the same
+                        // sequences get a DP against the same thresholds
+                        // whatever the shard layout or thread count.
+                        let work = |qs: &tw_core::QueryStats| {
+                            (qs.candidates, qs.verified, qs.abandoned, qs.dtw_cells)
+                        };
+                        assert_eq!(
+                            work(&got.merged.query_stats),
+                            work(&expect.query_stats),
+                            "{tag} k={k} query={qi}: work drift"
+                        );
                     }
                 }
             }
@@ -123,6 +136,44 @@ fn sharded_agreement_holds_on_the_paper_workload() {
     let data = generate_random_walks(&RandomWalkConfig::paper(64, 32), 20010402);
     let queries = generate_queries(&data, 3, 42);
     assert_sharded_agrees(&data, &queries, &[0.1, 0.3, 2.0], &[1, 5, 10]);
+}
+
+#[test]
+fn duplicates_across_the_k_boundary_are_cut_by_id_everywhere() {
+    // Twelve distinct walks, each stored four times at ids i, i+12, i+24,
+    // i+36 — so the copies land in different shards and every k that is not
+    // a multiple of four cuts through a group of exactly tied neighbours.
+    let base = generate_random_walks(&RandomWalkConfig::paper(12, 20), 4242);
+    let data: Vec<Vec<f64>> = (0..48).map(|i| base[i % 12].clone()).collect();
+    let store = store_with(&data);
+    let flat = TwSimSearch::build(&store).expect("build flat");
+    let opts = EngineOpts::new().kind(DtwKind::MaxAbs);
+    for q in &generate_queries(&base, 3, 4243) {
+        let mut brute: Vec<(f64, u64)> = (0..)
+            .zip(&data)
+            .map(|(id, s)| (dtw(s, q, DtwKind::MaxAbs).distance, id))
+            .collect();
+        brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for k in [1usize, 2, 3, 5, 6, 9] {
+            let expect = &brute[..k];
+            assert_eq!(expect[k - 1].0, brute[k].0, "k={k} does not cut a tie");
+            let pairs = |m: &[tw_core::KnnMatch]| -> Vec<(f64, u64)> {
+                m.iter().map(|m| (m.distance, m.id)).collect()
+            };
+            let got = flat.knn_governed(&store, q, k, &opts).expect("flat knn");
+            assert_eq!(pairs(&got.matches), expect, "flat k={k}");
+            for shard_count in SHARD_COUNTS {
+                let sharded =
+                    ShardedSearch::build_in_memory(&data, 48 / shard_count, None).expect("build");
+                let got = sharded.knn_sharded(q, k, &opts).expect("sharded knn");
+                assert_eq!(
+                    pairs(&got.merged.matches),
+                    expect,
+                    "shards={shard_count} k={k}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

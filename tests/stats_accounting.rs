@@ -243,25 +243,60 @@ fn pruned_candidates_are_never_matches() {
 #[test]
 fn knn_accounting_balances() {
     // kNN rides the same pipeline-counter ledger as the range engines:
-    // every fetched neighbour is verified exactly, nothing is pruned.
+    // every candidate the best-first stream yields gets a DP, which either
+    // completes (`verified`) or proves the candidate farther than the k-th
+    // best (`abandoned`); no bound tier ever prunes.
+    use tw_core::search::ShardedSearch;
+
     let data = generate_random_walks(&RandomWalkConfig::paper(60, 35), 81);
     let store = store_with(&data);
     let engine = TwSimSearch::build(&store).expect("build tw-sim");
+    let sharded = ShardedSearch::build_in_memory(&data, 16, None).expect("build sharded");
     let queries = generate_queries(&data, 2, 82);
+    let opts = EngineOpts::new().kind(DtwKind::MaxAbs);
 
     for (qi, query) in queries.iter().enumerate() {
         for k in [1usize, 5, 20] {
-            let out = engine
-                .knn_governed(&store, query, k, &EngineOpts::new().kind(DtwKind::MaxAbs))
-                .expect("knn");
+            let out = engine.knn_governed(&store, query, k, &opts).expect("knn");
             let ctx = format!("query {qi} k={k}");
-            assert_accounting("knn", &ctx, &out.query_stats, out.matches.len());
+            let qs = &out.query_stats;
+            assert_accounting("knn", &ctx, qs, out.matches.len());
             assert_eq!(out.matches.len(), k.min(store.len()), "{ctx}");
-            // kNN never prunes: each candidate gets an exact distance.
-            assert_eq!(out.query_stats.pruned_total(), 0, "{ctx}");
-            assert_eq!(out.query_stats.verified, out.stats.dtw_invocations, "{ctx}");
-            assert!(out.query_stats.index_node_accesses() > 0, "{ctx}");
+            assert_eq!(qs.pruned_total(), 0, "{ctx}");
+            assert_eq!(
+                qs.verified + qs.abandoned,
+                out.stats.dtw_invocations,
+                "{ctx}"
+            );
+            assert_eq!(
+                qs.candidates,
+                qs.verified + qs.abandoned + qs.skipped_unverified,
+                "{ctx}"
+            );
+            assert!(qs.index_node_accesses() > 0, "{ctx}");
             assert!(out.termination.is_complete(), "{ctx}");
+
+            // Sharded: each shard's share closes on its own and the shares
+            // sum counter-wise to the merged ledger.
+            let fan = sharded.knn_sharded(query, k, &opts).expect("sharded knn");
+            let mut sum = QueryStats::default();
+            let mut match_sum = 0usize;
+            for (si, shard) in fan.per_shard.iter().enumerate() {
+                assert_accounting(
+                    "knn",
+                    &format!("{ctx} shard {si}"),
+                    &shard.query_stats,
+                    shard.matches.len(),
+                );
+                sum.merge(&shard.query_stats);
+                match_sum += shard.matches.len();
+            }
+            assert!(
+                sum.counters_eq(&fan.merged.query_stats),
+                "knn {ctx}: per-shard sum {sum:?} != merged {:?}",
+                fan.merged.query_stats
+            );
+            assert_eq!(match_sum, fan.merged.matches.len(), "{ctx}");
         }
     }
 }
