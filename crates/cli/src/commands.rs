@@ -1788,6 +1788,31 @@ mod tests {
             "{strict}"
         );
 
+        // A non-finite query element is refused where it enters the engine
+        // and crosses the wire as a typed error, for both query kinds.
+        let mut client = Client::connect(
+            &addr,
+            Arc::new(tw_core::SystemClock::new()),
+            ClientConfig::default(),
+        )
+        .expect("connect");
+        for kind in [QueryKind::Range { epsilon: 0.3 }, QueryKind::Knn { k: 2 }] {
+            let request = QueryRequest {
+                tenant: 0,
+                budget: WireBudget::default(),
+                kind,
+                values: vec![5.0, f64::NAN, 5.0],
+            };
+            match client.call(&request).expect("typed reply") {
+                Reply::Error(e) => {
+                    assert_eq!(e.code, tw_net::ErrorCode::QueryFailed);
+                    assert!(e.message.contains("element 1 is not finite"), "{e:?}");
+                }
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+        }
+        drop(client);
+
         let served = server.join().expect("join server").expect("serve");
         assert!(served.contains("listening on"), "{served}");
         assert!(served.contains("ledger balanced"), "{served}");

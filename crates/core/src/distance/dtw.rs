@@ -1,18 +1,31 @@
 //! The time-warping distance (Definitions 1 and 2), in three forms:
 //!
-//! * [`dtw`] — rolling two-row dynamic program, `O(min(|S|,|Q|))` memory;
-//! * [`dtw_within`] — early-abandoning variant that proves or disproves
-//!   `D_tw <= epsilon` without necessarily completing the table (§4.1 of the
-//!   paper explains why the L∞ recurrence abandons especially early);
+//! * [`dtw`] — rolling one-column dynamic program, `O(min(|S|,|Q|))` memory;
+//! * [`dtw_within`] / [`dtw_decide_lanes`] — early-abandoning variant that
+//!   proves or disproves `D_tw <= epsilon` without necessarily completing
+//!   the table (§4.1 of the paper explains why the L∞ recurrence abandons
+//!   especially early), for one candidate or for many of one query;
 //! * [`dtw_with_path`] — full-matrix variant recovering the optimal element
 //!   mapping `M`, used by diagnostics and tests.
 //!
-//! The hot paths share one kernel shape: two flat row buffers swapped per
-//! column, a branch-free [`min3`] over the three predecessors, and the
-//! recurrence monomorphized per [`DtwKind`] so the inner loop carries no
-//! `match`. The governed variants preserve their contract exactly — cells
-//! are accounted in whole columns, the abandon check runs before the
-//! governor charge, and verdicts are byte-identical to the naive DP.
+//! Every thresholded decision runs through one kernel, [`lane_kernel`]: a
+//! column-at-a-time DP over `L` equal-length candidates at once, `L` being
+//! [`LANES`] for a full batch and 1 otherwise. The candidates are read
+//! transposed (`[f64; L]` per row, the query value splatted), each lane is
+//! an independent instance of the recurrence, and `min`/`max` are written
+//! as compare-selects ([`fmin`]) because `f64::min` is not a hardware min.
+//! The recurrence is monomorphized per [`DtwKind`] so the inner loop
+//! carries no `match`.
+//!
+//! The ledger is per lane and unchanged from the scalar DP: a candidate's
+//! cells are counted in whole columns of its own table while it is
+//! undecided, the abandon check runs before the governor charge, and one
+//! `charge_cells` per column covers the live lanes. What the kernel
+//! computes in a lane that has already decided is not ledgered, so
+//! verdicts, distances and `dtw_cells` are those of the naive DP run on
+//! each pair alone, whatever the batch composition or thread count.
+//! Inputs must be NaN-free: queries are validated at the read entry points
+//! ([`crate::error::validate_query`]); stored `±inf` is tolerated.
 
 use super::DtwKind;
 use crate::govern::CancelToken;
@@ -44,6 +57,14 @@ pub struct DtwOutcome {
     pub cancelled: bool,
 }
 
+/// No cells computed, nothing decided.
+const BLANK: DtwOutcome = DtwOutcome {
+    within: None,
+    cells: 0,
+    early_abandoned: false,
+    cancelled: false,
+};
+
 #[inline]
 fn combine(kind: DtwKind, gap: f64, best_prev: f64) -> f64 {
     match kind {
@@ -70,12 +91,35 @@ fn threshold(kind: DtwKind, epsilon: f64) -> f64 {
     }
 }
 
-/// Branch-free three-way minimum: two `f64::min` calls, which lower to
-/// hardware min instructions instead of compare-and-branch — the DP inner
-/// loop stays free of unpredictable branches.
+/// Compare-select minimum: `a < b ? a : b` is exactly what one hardware
+/// `minsd`/`minpd` computes. `f64::min` is *not* that — it must return the
+/// non-NaN operand, which lowers to a compare-and-blend sequence three times
+/// as long on the DP's `left → min3 → step` dependency chain. The kernels'
+/// contract is NaN-free inputs (queries are checked where they enter, stores
+/// refuse NaN on append), and on those the two agree bit for bit.
+#[inline(always)]
+fn fmin(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Compare-select maximum; see [`fmin`].
+#[inline(always)]
+pub(crate) fn fmax(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Three-way minimum over the DP predecessors: two compare-selects.
 #[inline(always)]
 pub(crate) fn min3(a: f64, b: f64, c: f64) -> f64 {
-    a.min(b).min(c)
+    fmin(fmin(a, b), c)
 }
 
 /// Dispatches `kind` to a monomorphized copy of a DP kernel: each arm hands
@@ -93,7 +137,7 @@ macro_rules! dispatch_kind {
                 $call
             }
             DtwKind::MaxAbs => {
-                let $step = |gap: f64, best: f64| gap.abs().max(best);
+                let $step = |gap: f64, best: f64| $crate::distance::dtw::fmax(gap.abs(), best);
                 $call
             }
         }
@@ -101,126 +145,91 @@ macro_rules! dispatch_kind {
 }
 pub(crate) use dispatch_kind;
 
-/// The two-row full DP: `prev`/`cur` are flat row buffers of the shorter
-/// sequence's length, swapped per column of the longer one. Returns the raw
-/// accumulator (pre-[`finish`]) and the cell count (`|rows|` per column).
-fn full_kernel(rows: &[f64], cols: &[f64], step: impl Fn(f64, f64) -> f64) -> (f64, u64) {
-    let m = rows.len();
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
-    // The dp[0][0] boundary: 0 before the first column, +inf afterwards.
-    let mut corner = 0.0f64;
-    let mut cells = 0u64;
-    for &c in cols {
-        let mut up_left = corner;
-        let mut left = f64::INFINITY;
-        for (&r, (&up, cell)) in rows.iter().zip(prev.iter().zip(cur.iter_mut())) {
-            let v = step(r - c, min3(up, up_left, left));
-            up_left = up;
-            left = v;
-            *cell = v;
-        }
-        cells += m as u64;
-        corner = f64::INFINITY;
-        std::mem::swap(&mut prev, &mut cur);
+/// `f` applied lane by lane: the fixed-length loop the compiler vectorises.
+#[inline(always)]
+fn lanewise<const L: usize>(mut a: [f64; L], b: [f64; L], f: impl Fn(f64, f64) -> f64) -> [f64; L] {
+    for (a, b) in a.iter_mut().zip(b) {
+        *a = f(*a, b);
     }
-    (prev.last().copied().unwrap_or(f64::INFINITY), cells)
+    a
 }
 
-/// What [`decide_kernel`] concluded, before scale conversion.
-struct Decision {
-    /// The completed raw accumulator; `None` when abandoned or cancelled.
-    raw: Option<f64>,
-    cells: u64,
-    early_abandoned: bool,
-    cancelled: bool,
-}
+/// Candidates verified per DP sweep by [`dtw_decide_lanes`].
+pub const LANES: usize = 8;
 
-/// Columns per cache block of [`decide_kernel`]: small enough that the
-/// per-block scratch (`COL_BLOCK` running cells plus column minima) lives in
-/// registers/L1, large enough to amortize the `bound` sweep — each element
-/// of the carried column is now touched once per *block* instead of once per
-/// column, cutting row-buffer traffic by the block factor.
-const COL_BLOCK: usize = 8;
-
-/// The thresholded DP, cache-blocked over columns. Columns are processed
-/// `COL_BLOCK` at a time with the rows of the block walked in one sweep:
-/// `bound` carries the DP column left of the block, `above` holds the
-/// previous row's cells inside the block, and `col_min` accumulates each
-/// block column's minimum for the abandon check.
+/// The thresholded DP over `L` independent lanes, one column at a time.
 ///
-/// The per-column ledger contract is unchanged from the column-at-a-time
-/// kernel: after a block's cells are computed, each of its columns is
-/// *replayed* in order — count the column's cells, abandon if its minimum
-/// exceeds `thr` (when `abandon` is set), then charge the governor. DP cell
-/// values do not depend on traversal order (same recurrence, same inputs,
-/// and `min3` over non-negative values is order-exact), so verdicts, cell
-/// counts and trip points are byte-identical to the unblocked kernel —
-/// pinned by `engines_agree.rs` / `stats_accounting.rs`.
-fn decide_kernel(
-    rows: &[f64],
-    cols: &[f64],
+/// `rows` and `cols` yield element `i` of all `L` lanes at once: for the
+/// candidates that is a transposed row, for the query the value splatted. Every lane runs the same recurrence on its own data, so the
+/// per-lane loops vectorise and the lanes' `left → min3 → step` chains
+/// overlap — inter-sequence SIMD in safe Rust, no feature detection. The
+/// one working buffer pairs each row element with its DP cell: the cell
+/// holds column `j-1` on entry to column `j` and is updated in place
+/// (`diag`/`above` carry the two cells the overwrite would lose).
+///
+/// The ledger is kept per lane and is the scalar kernel's: while a lane is
+/// undecided each column adds `|rows|` to its cells, then the lane abandons
+/// if the column minimum exceeds `thr` (when `abandon` is set), and then one
+/// `charge_cells` covers the lanes still live. Cells computed in a lane that
+/// has already decided are not ledgered, so a lane's outcome depends only on
+/// its own pair — not on which candidates share its batch. In the returned
+/// outcomes `within` is still the raw accumulator of a completed lane
+/// (pre-[`finish`], not yet compared with the tolerance).
+fn lane_kernel<const L: usize>(
+    rows: impl Iterator<Item = [f64; L]>,
+    cols: impl Iterator<Item = [f64; L]>,
     thr: f64,
     abandon: bool,
     token: &CancelToken,
     step: impl Fn(f64, f64) -> f64,
-) -> Decision {
-    let m = rows.len();
-    // `bound[r]` = DP(r, j0-1): the column just left of the current block.
-    let mut bound = vec![f64::INFINITY; m];
-    let mut above = [f64::INFINITY; COL_BLOCK];
-    let mut col_min = [f64::INFINITY; COL_BLOCK];
-    let mut cells = 0u64;
-    let mut first_block = true;
-    for block in cols.chunks(COL_BLOCK) {
-        above.fill(f64::INFINITY);
-        col_min.fill(f64::INFINITY);
-        // DP(-1, j0-1): the dp[0][0] boundary — 0 left of column 0 only.
-        let mut diag = if first_block { 0.0 } else { f64::INFINITY };
-        first_block = false;
-        for (&r, slot) in rows.iter().zip(bound.iter_mut()) {
-            let carried = *slot;
-            // `left` runs DP(r, j-1) along the row; `ul` is DP(r-1, j-1).
-            let mut left = carried;
-            let mut ul = diag;
-            for (&c, (up_slot, cm)) in block.iter().zip(above.iter_mut().zip(col_min.iter_mut())) {
-                let up = *up_slot;
-                let v = step(r - c, min3(left, ul, up));
-                ul = up;
-                *up_slot = v;
-                left = v;
-                *cm = (*cm).min(v);
-            }
-            diag = carried;
-            *slot = left;
+) -> [DtwOutcome; L] {
+    let mut col: Vec<([f64; L], [f64; L])> = rows.map(|r| (r, [f64::INFINITY; L])).collect();
+    let m = col.len() as u64;
+    let mut lanes = [BLANK; L];
+    // The dp[0][0] boundary: 0 above the first column, +inf afterwards.
+    let mut corner = [0.0f64; L];
+    for c in cols {
+        let mut diag = corner;
+        let mut above = [f64::INFINITY; L];
+        let mut col_min = [f64::INFINITY; L];
+        for (r, slot) in &mut col {
+            let left = *slot;
+            let best = lanewise(lanewise(left, diag, fmin), above, fmin);
+            above = lanewise(lanewise(*r, c, |r, c| r - c), best, &step);
+            col_min = lanewise(col_min, above, fmin);
+            diag = left;
+            *slot = above;
         }
-        // Replay the block's ledger column by column, in original order.
-        for cm in col_min.iter().take(block.len()) {
-            cells += m as u64;
-            if abandon && *cm > thr {
-                return Decision {
-                    raw: None,
-                    cells,
-                    early_abandoned: true,
-                    cancelled: false,
-                };
-            }
-            if token.charge_cells(m as u64) {
-                return Decision {
-                    raw: None,
-                    cells,
-                    early_abandoned: false,
-                    cancelled: true,
-                };
+        corner = [f64::INFINITY; L];
+        // Inside this loop a lane is live exactly while it has not abandoned.
+        let mut charge = 0u64;
+        for (lane, min) in lanes.iter_mut().zip(col_min) {
+            if !lane.early_abandoned {
+                lane.cells += m;
+                if abandon && min > thr {
+                    lane.early_abandoned = true;
+                } else {
+                    charge += m;
+                }
             }
         }
+        if charge == 0 {
+            return lanes;
+        }
+        if token.charge_cells(charge) {
+            for lane in lanes.iter_mut().filter(|lane| !lane.early_abandoned) {
+                lane.cancelled = true;
+            }
+            return lanes;
+        }
     }
-    Decision {
-        raw: bound.last().copied(),
-        cells,
-        early_abandoned: false,
-        cancelled: false,
+    let last = col.last().map_or([f64::INFINITY; L], |(_, cell)| *cell);
+    for (lane, raw) in lanes.iter_mut().zip(last) {
+        if !lane.early_abandoned {
+            lane.within = Some(raw);
+        }
     }
+    lanes
 }
 
 /// The time-warping distance between two sequences.
@@ -228,20 +237,12 @@ fn decide_kernel(
 /// Empty inputs follow the paper's definition: both empty → 0, one empty →
 /// `+∞`.
 pub fn dtw(s: &[f64], q: &[f64], kind: DtwKind) -> DtwResult {
-    if s.is_empty() || q.is_empty() {
-        let distance = if s.len() == q.len() {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        return DtwResult { distance, cells: 0 };
-    }
-    // Keep the shorter sequence as the row to minimize memory.
-    let (rows, cols) = if s.len() <= q.len() { (s, q) } else { (q, s) };
-    let (raw, cells) = dispatch_kind!(kind, |step| full_kernel(rows, cols, step));
+    // The decision kernel with nothing to decide: no tolerance, no cutoff.
+    let unlimited = CancelToken::unlimited();
+    let [outcome] = decide_batch([s], q, kind, f64::INFINITY, false, &unlimited);
     DtwResult {
-        distance: finish(kind, raw),
-        cells,
+        distance: outcome.within.unwrap_or(f64::INFINITY),
+        cells: outcome.cells,
     }
 }
 
@@ -283,36 +284,122 @@ pub fn dtw_decide_governed(
     early_abandon: bool,
     token: &CancelToken,
 ) -> DtwOutcome {
+    let [outcome] = decide_batch([s], q, kind, epsilon, early_abandon, token);
+    outcome
+}
+
+/// [`dtw_decide_governed`] for many candidates of one query, [`LANES`]
+/// equal-length candidates per DP sweep; `out[i]` is the outcome for
+/// `candidates[i]`.
+///
+/// Candidates are grouped by length; each full group of [`LANES`] runs as
+/// one batch and the leftovers run one by one, through the same kernel. An
+/// outcome is bit-identical to what [`dtw_decide_governed`] returns for the
+/// pair alone — only the trip point of a finite budget depends on the
+/// grouping, since a batch charges its live lanes' cells together. The token
+/// is polled before every sweep; once it trips, the candidates not yet
+/// started come back `cancelled` with no cells.
+pub fn dtw_decide_lanes(
+    candidates: &[&[f64]],
+    q: &[f64],
+    kind: DtwKind,
+    epsilon: f64,
+    early_abandon: bool,
+    token: &CancelToken,
+) -> Vec<DtwOutcome> {
+    let mut order: Vec<(usize, &[f64])> = candidates.iter().copied().enumerate().collect();
+    order.sort_by_key(|(_, c)| c.len());
+    // Outcomes in `order`'s order; a tripped token leaves the tail unstarted.
+    let mut done: Vec<DtwOutcome> = Vec::with_capacity(order.len());
+    'sweeps: for group in order.chunk_by(|a, b| a.1.len() == b.1.len()) {
+        for batch in group.chunks(LANES) {
+            match <[(usize, &[f64]); LANES]>::try_from(batch) {
+                Ok(full) => {
+                    if token.cancelled() {
+                        break 'sweeps;
+                    }
+                    let lanes = full.map(|(_, c)| c);
+                    done.extend(decide_batch(lanes, q, kind, epsilon, early_abandon, token));
+                }
+                Err(_) => {
+                    for &(_, c) in batch {
+                        if token.cancelled() {
+                            break 'sweeps;
+                        }
+                        done.extend(decide_batch([c], q, kind, epsilon, early_abandon, token));
+                    }
+                }
+            }
+        }
+    }
+    let unstarted = DtwOutcome {
+        cancelled: true,
+        ..BLANK
+    };
+    let mut out = vec![unstarted; order.len()];
+    for (&(i, _), outcome) in order.iter().zip(done) {
+        if let Some(slot) = out.get_mut(i) {
+            *slot = outcome;
+        }
+    }
+    out
+}
+
+/// Decides `L` equal-length candidates against `q` in one [`lane_kernel`]
+/// sweep. Rows are the shorter side, as in [`dtw`].
+fn decide_batch<const L: usize>(
+    lanes: [&[f64]; L],
+    q: &[f64],
+    kind: DtwKind,
+    epsilon: f64,
+    early_abandon: bool,
+    token: &CancelToken,
+) -> [DtwOutcome; L] {
     debug_assert!(epsilon >= 0.0);
-    if s.is_empty() || q.is_empty() {
-        let within = if s.len() == q.len() { Some(0.0) } else { None };
-        return DtwOutcome {
-            within,
-            cells: 0,
-            early_abandoned: false,
-            cancelled: false,
-        };
+    let n = lanes.first().map_or(0, |s| s.len());
+    debug_assert!(lanes.iter().all(|s| s.len() == n));
+    if n == 0 || q.is_empty() {
+        // The paper's convention: both empty → 0, one empty → +∞.
+        let within = (n == q.len()).then_some(0.0);
+        return [DtwOutcome { within, ..BLANK }; L];
     }
-    let (rows, cols) = if s.len() <= q.len() { (s, q) } else { (q, s) };
+    // The lanes read side by side: item `i` is element `i` of every lane.
+    let mut iters = lanes.map(|s| s.iter());
+    let cands = (0..n).map(move |_| {
+        let mut row = [f64::NAN; L];
+        for (slot, lane) in row.iter_mut().zip(&mut iters) {
+            *slot = lane.next().copied().unwrap_or(f64::NAN);
+        }
+        row
+    });
+    let query = q.iter().map(|&v| [v; L]);
     let thr = threshold(kind, epsilon);
-    let decision = dispatch_kind!(kind, |step| decide_kernel(
-        rows,
-        cols,
-        thr,
-        early_abandon,
-        token,
-        step
-    ));
-    let within = decision
-        .raw
-        .map(|raw| finish(kind, raw))
-        .filter(|&d| d <= epsilon);
-    DtwOutcome {
-        within,
-        cells: decision.cells,
-        early_abandoned: decision.early_abandoned,
-        cancelled: decision.cancelled,
-    }
+    let decisions = if n <= q.len() {
+        dispatch_kind!(kind, |step| lane_kernel(
+            cands,
+            query,
+            thr,
+            early_abandon,
+            token,
+            step
+        ))
+    } else {
+        dispatch_kind!(kind, |step| lane_kernel(
+            query,
+            cands,
+            thr,
+            early_abandon,
+            token,
+            step
+        ))
+    };
+    decisions.map(|d| DtwOutcome {
+        within: d
+            .within
+            .map(|raw| finish(kind, raw))
+            .filter(|&dist| dist <= epsilon),
+        ..d
+    })
 }
 
 /// Full-matrix computation that also recovers the optimal warping path as
@@ -394,6 +481,8 @@ pub fn dtw_with_path(s: &[f64], q: &[f64], kind: DtwKind) -> (DtwResult, Vec<(us
 #[allow(clippy::float_cmp)] // Tests assert exact float round-trips and identities on purpose.
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
 
     const KINDS: [DtwKind; 3] = [DtwKind::SumAbs, DtwKind::SumSquared, DtwKind::MaxAbs];
 
@@ -572,9 +661,9 @@ mod tests {
         assert!(d100 > 5.0 * d10);
     }
 
-    /// The pre-blocking column-at-a-time kernel, kept as a test oracle: the
-    /// cache-blocked kernel must reproduce its verdict, cell ledger and
-    /// flags bit-for-bit for every recurrence kind.
+    /// The naive column-at-a-time thresholded DP with `std`'s `min`/`max`:
+    /// the one oracle. The lane kernel must reproduce its verdict, cell
+    /// ledger and flags bit for bit, whatever the batch around a candidate.
     fn reference_decide(
         s: &[f64],
         q: &[f64],
@@ -582,82 +671,56 @@ mod tests {
         epsilon: f64,
         token: &CancelToken,
     ) -> DtwOutcome {
+        let mut out = DtwOutcome {
+            within: None,
+            cells: 0,
+            early_abandoned: false,
+            cancelled: false,
+        };
         if s.is_empty() || q.is_empty() {
-            let within = if s.len() == q.len() { Some(0.0) } else { None };
-            return DtwOutcome {
-                within,
-                cells: 0,
-                early_abandoned: false,
-                cancelled: false,
-            };
+            out.within = (s.len() == q.len()).then_some(0.0);
+            return out;
         }
         let (rows, cols) = if s.len() <= q.len() { (s, q) } else { (q, s) };
         let thr = threshold(kind, epsilon);
         let m = rows.len();
         let mut prev = vec![f64::INFINITY; m];
-        let mut cur = vec![f64::INFINITY; m];
         let mut corner = 0.0f64;
-        let mut cells = 0u64;
-        let mut decision = Decision {
-            raw: None,
-            cells: 0,
-            early_abandoned: false,
-            cancelled: false,
-        };
-        let mut done = false;
         for &c in cols {
-            let mut up_left = corner;
-            let mut left = f64::INFINITY;
-            let mut col_min = f64::INFINITY;
-            for (&r, (&up, cell)) in rows.iter().zip(prev.iter().zip(cur.iter_mut())) {
-                let v = combine(kind, r - c, min3(up, up_left, left));
-                up_left = up;
-                left = v;
-                col_min = col_min.min(v);
-                *cell = v;
+            let mut cur = Vec::with_capacity(m);
+            for (i, &r) in rows.iter().enumerate() {
+                let up_left = if i == 0 { corner } else { prev[i - 1] };
+                let left = if i == 0 { f64::INFINITY } else { cur[i - 1] };
+                cur.push(combine(kind, r - c, prev[i].min(up_left).min(left)));
             }
-            cells += m as u64;
-            if col_min > thr {
-                decision = Decision {
-                    raw: None,
-                    cells,
-                    early_abandoned: true,
-                    cancelled: false,
-                };
-                done = true;
-                break;
+            out.cells += m as u64;
+            if cur.iter().copied().fold(f64::INFINITY, f64::min) > thr {
+                out.early_abandoned = true;
+                return out;
             }
             if token.charge_cells(m as u64) {
-                decision = Decision {
-                    raw: None,
-                    cells,
-                    early_abandoned: false,
-                    cancelled: true,
-                };
-                done = true;
-                break;
+                out.cancelled = true;
+                return out;
             }
             corner = f64::INFINITY;
-            std::mem::swap(&mut prev, &mut cur);
+            prev = cur;
         }
-        if !done {
-            decision = Decision {
-                raw: prev.last().copied(),
-                cells,
-                early_abandoned: false,
-                cancelled: false,
-            };
-        }
-        let within = decision
-            .raw
-            .map(|raw| finish(kind, raw))
-            .filter(|&d| d <= epsilon);
-        DtwOutcome {
-            within,
-            cells: decision.cells,
-            early_abandoned: decision.early_abandoned,
-            cancelled: decision.cancelled,
-        }
+        out.within = Some(finish(kind, prev[m - 1])).filter(|&d| d <= epsilon);
+        out
+    }
+
+    fn assert_same(got: &DtwOutcome, want: &DtwOutcome, what: &str) {
+        assert_eq!(
+            got.within.map(f64::to_bits),
+            want.within.map(f64::to_bits),
+            "within: {what}"
+        );
+        assert_eq!(got.cells, want.cells, "cells: {what}");
+        assert_eq!(
+            got.early_abandoned, want.early_abandoned,
+            "abandoned: {what}"
+        );
+        assert_eq!(got.cancelled, want.cancelled, "cancelled: {what}");
     }
 
     fn pseudo_seq(len: usize, salt: u64) -> Vec<f64> {
@@ -671,27 +734,66 @@ mod tests {
             .collect()
     }
 
+    /// Stored values on a quarter grid, so distances tie exactly, with the
+    /// occasional ±inf a store may hold (queries are finite by contract).
+    fn stored_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            60 => (-12i32..=12).prop_map(|k| f64::from(k) * 0.25),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        /// One chunk of 1..=17 candidates over up to three lengths — full
+        /// batches, leftovers, `n < m` and `n > m` together — against the
+        /// oracle run on each pair alone.
+        #[test]
+        fn lanes_match_reference_bit_for_bit(
+            lens in prop::collection::vec(1usize..=12, 3),
+            batch in prop::collection::vec(
+                (0usize..3, prop::collection::vec(stored_value(), 12)),
+                1..=17,
+            ),
+            q in prop::collection::vec((-12i32..=12).prop_map(|k| f64::from(k) * 0.25), 1..=12),
+            eps_pick in 0usize..4,
+            tie_with in 0usize..17,
+        ) {
+            let cands: Vec<&[f64]> = batch.iter().map(|(l, v)| &v[..lens[*l]]).collect();
+            let unlimited = CancelToken::unlimited();
+            for kind in KINDS {
+                // ε on an exact tie: some candidate's own distance.
+                let tie = dtw(cands[tie_with % cands.len()], &q, kind).distance;
+                let eps = [0.0, 0.5, 1e6, if tie.is_finite() { tie } else { 0.25 }][eps_pick];
+                let got = dtw_decide_lanes(&cands, &q, kind, eps, true, &unlimited);
+                prop_assert_eq!(got.len(), cands.len());
+                for (i, (g, c)) in got.iter().zip(&cands).enumerate() {
+                    let want = reference_decide(c, &q, kind, eps, &unlimited);
+                    assert_same(g, &want, &format!("{kind:?} eps={eps} cand {i}"));
+                    let alone = dtw_within(c, &q, kind, eps);
+                    assert_same(&alone, &want, &format!("{kind:?} eps={eps} cand {i} alone"));
+                }
+            }
+        }
+    }
+
     #[test]
-    fn blocked_kernel_matches_reference_bit_for_bit() {
-        // Lengths straddle every block boundary (COL_BLOCK = 8): partial
-        // blocks, exact multiples, and rows/cols swaps.
-        let lens = [1usize, 2, 7, 8, 9, 15, 16, 17, 23];
-        for &n in &lens {
-            for &m in &[1usize, 3, 8, 13] {
-                let s = pseudo_seq(n, 17);
-                let q = pseudo_seq(m, 1031);
-                for kind in KINDS {
-                    for eps in [0.0, 0.4, 2.0, 9.0, 1e6] {
-                        let got = dtw_within(&s, &q, kind, eps);
-                        let want = reference_decide(&s, &q, kind, eps, &CancelToken::unlimited());
-                        assert_eq!(
-                            got.within.map(f64::to_bits),
-                            want.within.map(f64::to_bits),
-                            "{kind:?} n={n} m={m} eps={eps}"
-                        );
-                        assert_eq!(got.cells, want.cells, "{kind:?} n={n} m={m} eps={eps}");
-                        assert_eq!(got.early_abandoned, want.early_abandoned);
-                        assert_eq!(got.cancelled, want.cancelled);
+    fn full_batches_of_long_sequences_match_reference() {
+        // Sixteen same-length candidates (two full batches) per shape, long
+        // enough that lanes abandon at different columns of one sweep.
+        for (n, m) in [(40usize, 40usize), (23, 31), (31, 23)] {
+            let q = pseudo_seq(m, 1031);
+            let cands: Vec<Vec<f64>> = (0..16).map(|i| pseudo_seq(n, 17 + 977 * i)).collect();
+            let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
+            let unlimited = CancelToken::unlimited();
+            for kind in KINDS {
+                for eps in [0.0, 2.0, 9.0, 14.0, 1e6] {
+                    let got = dtw_decide_lanes(&refs, &q, kind, eps, true, &unlimited);
+                    for (g, c) in got.iter().zip(&refs) {
+                        let want = reference_decide(c, &q, kind, eps, &unlimited);
+                        assert_same(g, &want, &format!("{kind:?} n={n} m={m} eps={eps}"));
                     }
                 }
             }
@@ -699,29 +801,59 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_budget_trip_matches_reference() {
-        use std::sync::Arc;
+    fn early_abandon_off_completes_every_lane() {
+        let q = pseudo_seq(9, 3);
+        let cands: Vec<Vec<f64>> = (0..11).map(|i| pseudo_seq(9, 50 * i)).collect();
+        let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
+        for kind in KINDS {
+            let got = dtw_decide_lanes(&refs, &q, kind, 0.0, false, &CancelToken::unlimited());
+            assert!(got
+                .iter()
+                .all(|o| o.cells == 81 && !o.early_abandoned && !o.cancelled));
+        }
+    }
+
+    fn budget(max_cells: u64) -> CancelToken {
+        CancelToken::builder(std::sync::Arc::new(crate::govern::SystemClock::new()))
+            .max_cells(max_cells)
+            .build()
+    }
+
+    #[test]
+    fn budget_trip_matches_reference() {
         let s = pseudo_seq(19, 5);
         let q = pseudo_seq(11, 7);
         let full_cells = (s.len() * q.len()) as u64;
         for kind in KINDS {
-            for budget in [1u64, 10, 33, 80, full_cells, full_cells + 1] {
-                let mk = || {
-                    CancelToken::builder(Arc::new(crate::govern::SystemClock::new()))
-                        .max_cells(budget)
-                        .build()
-                };
-                let got = dtw_within_governed(&s, &q, kind, 1e9, &mk());
-                let want = reference_decide(&s, &q, kind, 1e9, &mk());
-                assert_eq!(got.cells, want.cells, "{kind:?} budget={budget}");
-                assert_eq!(got.cancelled, want.cancelled, "{kind:?} budget={budget}");
-                assert_eq!(
-                    got.within.map(f64::to_bits),
-                    want.within.map(f64::to_bits),
-                    "{kind:?} budget={budget}"
-                );
+            for max_cells in [1u64, 10, 33, 80, full_cells, full_cells + 1] {
+                let got = dtw_within_governed(&s, &q, kind, 1e9, &budget(max_cells));
+                let want = reference_decide(&s, &q, kind, 1e9, &budget(max_cells));
+                assert_same(&got, &want, &format!("{kind:?} budget={max_cells}"));
             }
         }
+    }
+
+    #[test]
+    fn budget_tripping_mid_batch_cancels_only_the_live_lanes() {
+        // Eight lanes, 10 rows: lane 0 abandons in column 1, the rest run
+        // on. A column charges 10 cells per live lane, so 7 live lanes trip
+        // a 100-cell budget in column 2.
+        let q = vec![0.0; 10];
+        let far = vec![50.0; 10];
+        let near = vec![0.25; 10];
+        let mut cands: Vec<&[f64]> = vec![&near; 8];
+        cands[0] = &far;
+        let token = budget(100);
+        let got = dtw_decide_lanes(&cands, &q, DtwKind::MaxAbs, 1.0, true, &token);
+        assert!(got[0].early_abandoned && !got[0].cancelled);
+        assert_eq!(got[0].cells, 10);
+        for lane in &got[1..] {
+            assert!(lane.cancelled && !lane.early_abandoned && lane.within.is_none());
+            assert_eq!(lane.cells, 20);
+        }
+        // A tripped token starts nothing more.
+        let after = dtw_decide_lanes(&cands, &q, DtwKind::MaxAbs, 1.0, true, &token);
+        assert!(after.iter().all(|o| o.cancelled && o.cells == 0));
     }
 
     #[test]

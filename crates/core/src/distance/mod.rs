@@ -7,7 +7,8 @@ mod lp;
 
 pub use band::{dtw_banded, dtw_banded_governed, sakoe_chiba_width};
 pub use dtw::{
-    dtw, dtw_decide_governed, dtw_with_path, dtw_within, dtw_within_governed, DtwOutcome, DtwResult,
+    dtw, dtw_decide_governed, dtw_decide_lanes, dtw_with_path, dtw_within, dtw_within_governed,
+    DtwOutcome, DtwResult, LANES,
 };
 pub use lp::{l1, l2, linf, lp};
 

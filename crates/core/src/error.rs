@@ -91,6 +91,19 @@ impl From<PersistError> for TwError {
     }
 }
 
+/// Validates a query sequence: non-empty and every element finite. This is
+/// the DTW kernels' input contract — their compare-select `min`/`max` do not
+/// order NaN — so every read entry point checks it before any work.
+pub fn validate_query(query: &[f64]) -> Result<(), TwError> {
+    if query.is_empty() {
+        return Err(TwError::EmptySequence);
+    }
+    match query.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        Some((index, &value)) => Err(TwError::InvalidElement { index, value }),
+        None => Ok(()),
+    }
+}
+
 /// Validates a query tolerance: finite and non-negative.
 pub fn validate_tolerance(epsilon: f64) -> Result<(), TwError> {
     if epsilon.is_finite() && epsilon >= 0.0 {
@@ -111,6 +124,18 @@ mod tests {
         assert!(validate_tolerance(-0.1).is_err());
         assert!(validate_tolerance(f64::NAN).is_err());
         assert!(validate_tolerance(f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn query_validation() {
+        assert!(validate_query(&[0.0, -1.5]).is_ok());
+        assert!(matches!(validate_query(&[]), Err(TwError::EmptySequence)));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                validate_query(&[1.0, bad, f64::NAN]),
+                Err(TwError::InvalidElement { index: 1, .. })
+            ));
+        }
     }
 
     #[test]

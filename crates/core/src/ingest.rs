@@ -48,7 +48,7 @@ use tw_storage::{
     StoreError, SyncPager, Wal, WalRecord, WalRecoveryReport, DEFAULT_PAGE_SIZE,
 };
 
-use crate::error::TwError;
+use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::termination_of;
 use crate::search::{EngineOpts, SearchEngine, SearchOutcome, TwSimSearch, VerifyJob};
@@ -607,6 +607,7 @@ impl<P: Pager> Snapshot<'_, P> {
     where
         E: SearchEngine<P> + ?Sized,
     {
+        validate_query(query)?;
         let mut outcome = {
             let base = self.owner.base.read();
             engine.range_search(&base, query, epsilon, opts)?

@@ -18,7 +18,7 @@ use tw_rtree::{Point, RTree, RTreeConfig, SplitAlgorithm};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw, DtwKind};
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::govern::termination_of;
 use crate::search::verify::VerifyJob;
 use crate::search::{
@@ -105,9 +105,7 @@ impl<P: Pager> SearchEngine<P> for FastMapSearch {
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
         validate_tolerance(epsilon)?;
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);

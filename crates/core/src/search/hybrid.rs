@@ -10,7 +10,7 @@
 
 use tw_storage::{HardwareModel, Pager, SequenceStore};
 
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::feature::FeatureVector;
 use crate::search::{EngineOpts, LbScan, SearchEngine, SearchOutcome, TwSimSearch};
 
@@ -59,9 +59,7 @@ impl HybridSearch {
     ) -> Result<(HybridPlan, tw_rtree::QueryStats), TwError> {
         // The index filter itself is in-memory-cheap; run it to learn the
         // candidate count.
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         let q = FeatureVector::from_values(query).as_point();
         let probe = self.engine.tree().range_centered(&q, epsilon);
         let probe_nodes = probe.stats.node_accesses();

@@ -33,7 +33,7 @@ use tw_rtree::{KnnMetric, Nearest, RTree};
 use tw_storage::{GovernorGuard, Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw_within_governed, DtwKind};
-use crate::error::TwError;
+use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::{termination_of, CancelToken, Termination};
 use crate::search::{EngineOpts, SearchStats, TwSimSearch};
@@ -167,9 +167,7 @@ pub(crate) fn knn_best_first<P: Pager>(
     kind: DtwKind,
     token: &CancelToken,
 ) -> Result<ShardedKnnOutcome, TwError> {
-    if query.is_empty() {
-        return Err(TwError::EmptySequence);
-    }
+    validate_query(query)?;
     let started = wall_now();
     let q_point = FeatureVector::from_values(query).as_point();
     let mut active: Vec<Active<'_, P>> = sources

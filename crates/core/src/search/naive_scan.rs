@@ -7,7 +7,7 @@
 
 use tw_storage::{Pager, SequenceStore};
 
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::govern::termination_of;
 use crate::search::verify::VerifyJob;
 use crate::search::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats};
@@ -30,6 +30,7 @@ impl<P: Pager> SearchEngine<P> for NaiveScan {
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
         validate_tolerance(epsilon)?;
+        validate_query(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);

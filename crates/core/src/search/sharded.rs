@@ -42,7 +42,7 @@ use tw_storage::{
     SequenceStore, ShardManifest,
 };
 
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::govern::{termination_of, CancelToken};
 use crate::search::knn::{knn_best_first, KnnSource};
 use crate::search::{
@@ -283,9 +283,7 @@ impl<S: Pager + Send> ShardedSearch<S> {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<ShardedOutcome, TwError> {
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         validate_tolerance(epsilon)?;
         let started = wall_now();
         let token = opts.arm_budget();

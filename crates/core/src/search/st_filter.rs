@@ -15,7 +15,7 @@ use tw_storage::{Pager, SequenceStore};
 use tw_suffix::{CategoryMethod, StFilter};
 
 use crate::distance::{dtw_within_governed, DtwKind};
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::govern::termination_of;
 use crate::search::subsequence::SubsequenceOutcome;
 use crate::search::verify::VerifyJob;
@@ -95,9 +95,7 @@ impl StFilterSearch {
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
         validate_tolerance(epsilon)?;
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);
@@ -213,9 +211,7 @@ impl<P: Pager> SearchEngine<P> for StFilterSearch {
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
         validate_tolerance(epsilon)?;
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);

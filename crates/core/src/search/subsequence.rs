@@ -13,7 +13,7 @@ use tw_rtree::{Point, RTree};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw_within_governed, DtwKind};
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::{termination_of, Termination};
 use crate::search::{EngineOpts, SearchStats, TwSimSearch};
@@ -183,9 +183,7 @@ impl SubsequenceIndex {
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
         validate_tolerance(epsilon)?;
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);

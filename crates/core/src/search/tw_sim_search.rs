@@ -17,7 +17,7 @@ use std::path::Path;
 use tw_rtree::{read_tree_file, write_tree_file, Point, RTree, RTreeConfig, SplitAlgorithm};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::termination_of;
 use crate::search::verify::VerifyJob;
@@ -183,9 +183,7 @@ impl<P: Pager> SearchEngine<P> for TwSimSearch {
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
         validate_tolerance(epsilon)?;
-        if query.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
+        validate_query(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);

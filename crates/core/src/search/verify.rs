@@ -13,15 +13,20 @@
 //! reach the DP. The cascade may also override the verify mode (when its
 //! spec carries a band ratio) and the early-abandon switch.
 //!
-//! Determinism: candidates are verified independently (pruning and early
-//! abandoning are per-candidate, so `dtw_cells` does not depend on thread
-//! count or order) and the merged match list is sorted by sequence id, so
-//! the outcome is identical for every thread count.
+//! Exact-mode survivors are verified through the lane kernel
+//! ([`dtw_decide_lanes`]): [`LANES`] equal-length candidates per DP sweep,
+//! leftovers one by one, thread chunks cut on batch boundaries.
+//!
+//! Determinism: candidates are verified independently (pruning, early
+//! abandoning and the cell ledger are per-candidate, so `dtw_cells` does
+//! not depend on thread count, order or batch composition) and the merged
+//! match list is sorted by sequence id, so the outcome is identical for
+//! every thread count.
 
 use tw_storage::SeqId;
 
 use crate::bound::{BoundCascade, BoundTier, CascadeDecision};
-use crate::distance::{dtw_banded_governed, dtw_decide_governed, DtwKind};
+use crate::distance::{dtw_banded_governed, dtw_decide_lanes, DtwKind, DtwOutcome, LANES};
 use crate::govern::CancelToken;
 use crate::search::{Match, SearchStats, VerifyMode};
 use crate::stats::{Phase, PipelineCounters};
@@ -108,10 +113,15 @@ impl<'a> VerifyJob<'a> {
         token: &CancelToken,
     ) -> (Vec<Match>, SearchStats) {
         counters.time(Phase::Verify, || {
-            let (mut matches, stats) = if self.threads == 1 || candidates.len() < 2 {
+            // Chunks are whole lane batches, so splitting the work never
+            // turns a full batch into leftovers.
+            let chunk = candidates
+                .len()
+                .div_ceil(self.threads)
+                .next_multiple_of(LANES);
+            let (mut matches, stats) = if candidates.len() <= chunk {
                 self.verify_chunk(candidates, counters, token)
             } else {
-                let chunk = candidates.len().div_ceil(self.threads);
                 let parts: Vec<(Vec<Match>, SearchStats)> = std::thread::scope(|scope| {
                     let handles: Vec<_> = candidates
                         .chunks(chunk)
@@ -150,7 +160,12 @@ impl<'a> VerifyJob<'a> {
         let mut abandoned = 0u64;
         let mut skipped = 0u64;
         let mut pruned = [0u64; BoundTier::ALL.len()];
-        let abandon = self.cascade.is_none_or(BoundCascade::early_abandon);
+        // Exact-mode survivors wait here and go through the lane kernel
+        // together, after the cascade has seen every candidate; banded
+        // ones are decided on the spot. Both are ledgered below.
+        let mut exact_ids: Vec<SeqId> = Vec::new();
+        let mut exact: Vec<&[f64]> = Vec::new();
+        let mut decided: Vec<(SeqId, DtwOutcome)> = Vec::new();
         for (i, (id, values)) in candidates.iter().enumerate() {
             if token.cancelled() {
                 skipped += (candidates.len() - i) as u64;
@@ -168,49 +183,45 @@ impl<'a> VerifyJob<'a> {
                     continue;
                 }
             }
-            let (within, cells, cancelled) = match self.verify {
+            match self.verify {
                 VerifyMode::Exact => {
-                    let outcome = dtw_decide_governed(
-                        values,
-                        self.query,
-                        self.kind,
-                        self.epsilon,
-                        abandon,
-                        token,
-                    );
-                    if !outcome.cancelled {
-                        if outcome.early_abandoned {
-                            abandoned += 1;
-                        } else {
-                            verified += 1;
-                        }
-                    }
-                    (outcome.within, outcome.cells, outcome.cancelled)
+                    exact_ids.push(*id);
+                    exact.push(values);
                 }
                 VerifyMode::Banded(w) => {
                     let (r, cancelled) =
                         dtw_banded_governed(values, self.query, self.kind, w, token);
-                    if !cancelled {
-                        verified += 1;
-                    }
-                    (
-                        (!cancelled && r.distance <= self.epsilon).then_some(r.distance),
-                        r.cells,
+                    let outcome = DtwOutcome {
+                        within: (!cancelled && r.distance <= self.epsilon).then_some(r.distance),
+                        cells: r.cells,
+                        early_abandoned: false,
                         cancelled,
-                    )
+                    };
+                    decided.push((*id, outcome));
                 }
-            };
-            stats.dtw_cells += cells;
-            if cancelled {
-                // Started but undecided: the cells were spent, the verdict
-                // never arrived. Ledger the candidate as skipped, not as an
-                // invocation.
-                skipped += 1;
-            } else {
-                stats.dtw_invocations += 1;
             }
-            if let Some(distance) = within {
-                matches.push(Match { id: *id, distance });
+        }
+        let abandon = self.cascade.is_none_or(BoundCascade::early_abandon);
+        let outcomes =
+            dtw_decide_lanes(&exact, self.query, self.kind, self.epsilon, abandon, token);
+        decided.extend(exact_ids.into_iter().zip(outcomes));
+        for (id, outcome) in decided {
+            stats.dtw_cells += outcome.cells;
+            if outcome.cancelled {
+                // Cut short (or never started): cells may have been spent,
+                // the verdict never arrived. Ledger the candidate as
+                // skipped, not as an invocation.
+                skipped += 1;
+                continue;
+            }
+            stats.dtw_invocations += 1;
+            if outcome.early_abandoned {
+                abandoned += 1;
+            } else {
+                verified += 1;
+            }
+            if let Some(distance) = outcome.within {
+                matches.push(Match { id, distance });
             }
         }
         for (&tier, &n) in BoundTier::ALL.iter().zip(&pruned) {
@@ -273,39 +284,106 @@ mod tests {
             .collect()
     }
 
+    /// 131 candidates over three lengths (shorter than, equal to and longer
+    /// than the 5-point query), none a multiple of the lane width: every
+    /// chunking leaves full batches, leftovers and length switches.
+    fn mixed_candidates() -> Vec<(SeqId, Vec<f64>)> {
+        (0..131u64)
+            .map(|i| {
+                let len = [3usize, 5, 9][(i % 3) as usize];
+                let base = (i % 7) as f64;
+                let values = (0..len)
+                    .map(|j| base + 0.2 * ((i + j as u64) % 4) as f64)
+                    .collect();
+                (i, values)
+            })
+            .collect()
+    }
+
+    const MIXED_QUERY: [f64; 5] = [3.0, 3.3, 3.9, 3.4, 3.1];
+
     #[test]
     fn thread_count_does_not_change_the_outcome() {
-        let cands = candidates();
-        let query = [3.0, 3.3, 3.9];
-        let base_counters = PipelineCounters::new();
-        let (base_matches, base_stats) = verify_candidates(
+        let cands = mixed_candidates();
+        for kind in [DtwKind::MaxAbs, DtwKind::SumAbs, DtwKind::SumSquared] {
+            let run = |threads| {
+                let counters = PipelineCounters::new();
+                let (m, s) = verify_candidates(
+                    &cands,
+                    &MIXED_QUERY,
+                    0.9,
+                    kind,
+                    VerifyMode::Exact,
+                    threads,
+                    &counters,
+                );
+                (m, s, counters.snapshot())
+            };
+            let (base_matches, base_stats, base_counters) = run(1);
+            assert!(!base_matches.is_empty() && base_matches.len() < cands.len());
+            assert!(base_counters.abandoned > 0 && base_counters.verified > 0);
+            // The per-lane ledger equals the one-pair-at-a-time ledger.
+            let alone: u64 = cands
+                .iter()
+                .map(|(_, v)| crate::distance::dtw_within(v, &MIXED_QUERY, kind, 0.9).cells)
+                .sum();
+            assert_eq!(base_stats.dtw_cells, alone, "{kind:?}");
+            for threads in [2usize, 3, 4, 16] {
+                let (m, s, counters) = run(threads);
+                assert_eq!(m, base_matches, "{kind:?} threads={threads}");
+                assert_eq!(s.dtw_invocations, base_stats.dtw_invocations);
+                assert_eq!(s.dtw_cells, base_stats.dtw_cells);
+                assert!(
+                    counters.counters_eq(&base_counters),
+                    "{kind:?} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cell_budget_tripping_mid_batch_leaves_an_exact_balanced_subset() {
+        let cands = mixed_candidates();
+        let (full, full_stats) = verify_candidates(
             &cands,
-            &query,
-            0.5,
+            &MIXED_QUERY,
+            0.9,
             DtwKind::MaxAbs,
             VerifyMode::Exact,
             1,
-            &base_counters,
+            &PipelineCounters::new(),
         );
-        assert!(!base_matches.is_empty());
-        for threads in [2usize, 3, 4, 16] {
-            let counters = PipelineCounters::new();
-            let (m, s) = verify_candidates(
-                &cands,
-                &query,
-                0.5,
-                DtwKind::MaxAbs,
-                VerifyMode::Exact,
-                threads,
-                &counters,
-            );
-            assert_eq!(m, base_matches, "threads={threads}");
-            assert_eq!(s.dtw_invocations, base_stats.dtw_invocations);
-            assert_eq!(s.dtw_cells, base_stats.dtw_cells);
-            assert!(
-                counters.snapshot().counters_eq(&base_counters.snapshot()),
-                "threads={threads}"
-            );
+        for threads in [1usize, 4] {
+            // From the first sweep's first column to most of the way
+            // through (abandoning columns are ledgered but not charged).
+            for max_cells in [1u64, 40, 200, 400] {
+                let token =
+                    CancelToken::builder(std::sync::Arc::new(crate::govern::SystemClock::new()))
+                        .max_cells(max_cells)
+                        .build();
+                let counters = PipelineCounters::new();
+                counters.add_candidates(cands.len() as u64);
+                let (partial, stats) = verify_candidates_governed(
+                    &cands,
+                    &MIXED_QUERY,
+                    0.9,
+                    DtwKind::MaxAbs,
+                    VerifyMode::Exact,
+                    threads,
+                    &counters,
+                    &token,
+                );
+                let what = format!("threads={threads} max_cells={max_cells}");
+                assert!(token.cancelled(), "{what}");
+                assert!(partial.iter().all(|m| full.contains(m)), "{what}");
+                assert!(partial.len() < full.len(), "{what}");
+                let snap = counters.snapshot();
+                assert!(snap.accounting_balanced(), "{what}: {snap:?}");
+                assert!(snap.skipped_unverified > 0, "{what}");
+                assert_eq!(snap.verified + snap.abandoned, stats.dtw_invocations);
+                assert_eq!(snap.dtw_cells, stats.dtw_cells);
+                assert!(stats.dtw_cells <= full_stats.dtw_cells, "{what}");
+            }
         }
     }
 

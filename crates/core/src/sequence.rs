@@ -5,7 +5,7 @@
 //! invariants are enforced at construction so every downstream comparison is
 //! a total order and feature extraction is well defined.
 
-use crate::error::TwError;
+use crate::error::{validate_query, TwError};
 
 /// A validated numeric sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,14 +20,7 @@ impl Sequence {
     /// [`TwError::EmptySequence`] for zero-length input and
     /// [`TwError::InvalidElement`] when any element is NaN or infinite.
     pub fn new(values: Vec<f64>) -> Result<Self, TwError> {
-        if values.is_empty() {
-            return Err(TwError::EmptySequence);
-        }
-        for (i, &v) in values.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(TwError::InvalidElement { index: i, value: v });
-            }
-        }
+        validate_query(&values)?;
         Ok(Self { values })
     }
 

@@ -25,6 +25,9 @@
 //! * `verified` — exact DTW computations that ran to completion;
 //! * `abandoned` — DTW computations cut short by early abandoning in
 //!   [`dtw_within`](crate::distance::dtw_within);
+//! * `dtw_cells` (a cost, not an equation term) — kept per candidate: the
+//!   columns of its own DP table computed while it was undecided, so the
+//!   count does not depend on which candidates shared a lane batch;
 //! * `skipped_unverified` — candidates never decided because a query budget
 //!   or deadline cancelled the pipeline first (see [`crate::govern`]); the
 //!   rows were neither pruned nor DTW'd, so under a budget the ledger still
@@ -106,7 +109,11 @@ pub struct QueryStats {
     pub abandoned: u64,
     /// Candidates left undecided when a budget/deadline cancelled the query.
     pub skipped_unverified: u64,
-    /// Total DP cells evaluated (verification plus any pivot DTWs).
+    /// DP cells ledgered (verification plus any pivot DTWs): per candidate,
+    /// whole columns of its own table while it was still undecided. The
+    /// lane kernel verifies several candidates per sweep; what it computes
+    /// in a lane that has already decided is not counted, so the total is
+    /// the one-candidate-at-a-time total whatever the batching or threads.
     pub dtw_cells: u64,
     /// DTW computations spent on FastMap pivot projections (not part of
     /// the verify accounting; their cells are included in `dtw_cells`).

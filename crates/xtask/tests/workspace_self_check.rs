@@ -207,8 +207,8 @@ fn committed_baseline_has_no_stale_entries() {
 
 #[test]
 fn dropped_governor_poll_in_dtw_kernel_is_caught() {
-    // Seeded mutation: discard the kernel's per-row should-cancel flag. The
-    // charging loop in `decide_kernel` is then ungoverned and the analyzer
+    // Seeded mutation: discard the kernel's per-column should-cancel flag.
+    // The charging loop in `lane_kernel` is then ungoverned and the analyzer
     // must say so.
     let rel = "crates/core/src/distance/dtw.rs";
     let report = run_edited(rel, |text| {

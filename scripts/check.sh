@@ -57,6 +57,18 @@ cargo run -q -p xtask --offline -- validate-bench "$BENCH_LARGE_OUT"
 echo "==> net loadtest (smoke)"
 cargo run -q -p xtask --offline -- loadtest --smoke --out target/loadtest.json
 
+# The layered benchmark (benchmark/, its own workspace) carries an
+# independent max-abs DTW oracle that shares no code with tw_core: its tests
+# and a smoke run of all five workloads check the verification kernel's ids
+# and distances bit for bit (a run exits 1 on any wrong answer). Timings at
+# smoke scale mean nothing and are not compared.
+echo "==> layered benchmark: tests + smoke run of every workload (oracle-checked)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+for workload in selective-warm verify-heavy paged-cold serve-selective ingest-query; do
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --smoke > /dev/null
+done
+
 # The fault-schedule matrix runs fixed seeds (the schedules are deterministic
 # SplitMix64 streams), so this pass is reproducible bit-for-bit. It is part of
 # the workspace test run above; running it again by name makes a regression

@@ -9,10 +9,10 @@
 
 use tw_core::distance::DtwKind;
 use tw_core::search::{
-    EngineOpts, FastMapSearch, HybridSearch, LbScan, NaiveScan, SearchEngine, StFilterSearch,
-    TwSimSearch,
+    EngineOpts, FastMapSearch, HybridSearch, LbScan, NaiveScan, ResilientSearch, SearchEngine,
+    ShardedSearch, StFilterSearch, TwSimSearch,
 };
-use tw_core::{BoundTier, CascadeSpec};
+use tw_core::{BoundTier, CascadeSpec, ConcurrentIngest, TwError};
 use tw_storage::{MemPager, SequenceStore};
 use tw_workload::{
     cbf_dataset, generate_queries, generate_random_walks, generate_stocks, normalize_to_unit_range,
@@ -275,5 +275,71 @@ fn knn_agrees_with_tolerance_search_boundary() {
     assert!(within.matches.len() >= 5);
     for n in &neighbors {
         assert!(within.ids().contains(&n.id));
+    }
+}
+
+/// The kernels' contract is "finite query, NaN-free store", enforced where
+/// the query enters: every read entry point refuses a NaN or ±inf element
+/// with the element's index, before any store or index work.
+#[test]
+fn non_finite_queries_are_refused_at_every_read_entry_point() {
+    let data = generate_random_walks(&RandomWalkConfig::paper(40, 16), 77);
+    let store = store_with(&data);
+    let opts = EngineOpts::new();
+    let mut engines = exact_engines(&store);
+    engines.push(Box::new(
+        FastMapSearch::build(&store, 2, DtwKind::MaxAbs, 7).expect("fit fastmap"),
+    ));
+    engines.push(Box::new(ResilientSearch::new(
+        TwSimSearch::build(&store).expect("build tw-sim"),
+    )));
+    // A degraded engine answers through LB-Scan: same refusal.
+    engines.push(Box::new(ResilientSearch::from_index_file(
+        "/nonexistent/index.rtree",
+        None,
+    )));
+    let index = TwSimSearch::build(&store).expect("build tw-sim");
+    let sharded = ShardedSearch::build_in_memory(&data, 10, None).expect("build sharded");
+    let ingest = ConcurrentIngest::in_memory();
+    {
+        let mut writer = ingest.writer().expect("claim writer");
+        for values in &data {
+            writer.append(values).expect("append");
+        }
+    }
+    let snapshot = ingest.snapshot();
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut query = data[3].clone();
+        query[5] = bad;
+        let refused = |what: &str, result: Result<(), TwError>| match result {
+            Err(TwError::InvalidElement { index: 5, value }) => {
+                assert_eq!(value.to_bits(), bad.to_bits(), "{what}")
+            }
+            other => panic!("{what}: expected InvalidElement at 5 for {bad}, got {other:?}"),
+        };
+        for engine in &engines {
+            let result = engine.range_search(&store, &query, 0.5, &opts);
+            refused(engine.name(), result.map(|_| ()));
+        }
+        refused(
+            "knn",
+            index.knn_governed(&store, &query, 3, &opts).map(|_| ()),
+        );
+        refused(
+            "sharded range",
+            sharded.range_search_sharded(&query, 0.5, &opts).map(|_| ()),
+        );
+        refused(
+            "sharded knn",
+            sharded.knn_sharded(&query, 3, &opts).map(|_| ()),
+        );
+        refused("snapshot", snapshot.search(&query, 0.5, &opts).map(|_| ()));
+        refused(
+            "snapshot through a scan engine",
+            snapshot
+                .search_with(&NaiveScan, &query, 0.5, &opts)
+                .map(|_| ()),
+        );
     }
 }
