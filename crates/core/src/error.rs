@@ -81,7 +81,11 @@ impl From<EnvelopeError> for TwError {
 
 impl From<StoreError> for TwError {
     fn from(e: StoreError) -> Self {
-        TwError::Storage(e)
+        match e {
+            // Bad input the store refused, not a storage failure.
+            StoreError::InvalidElement { index, value } => TwError::InvalidElement { index, value },
+            e => TwError::Storage(e),
+        }
     }
 }
 

@@ -715,6 +715,25 @@ mod tests {
     }
 
     #[test]
+    fn corpus_sharder_refuses_nan_as_invalid_input() {
+        let dir = std::env::temp_dir().join(format!("tw-sharder-nan-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut sharder = CorpusSharder::create(&dir, 4).unwrap();
+        sharder.append(&[1.0, 2.0, 3.0]).unwrap();
+        assert!(matches!(
+            sharder.append(&[1.0, f64::NAN]),
+            Err(TwError::InvalidElement { index: 1, .. })
+        ));
+        // The refused append took no id and the corpus still commits.
+        assert_eq!(sharder.append(&[4.0, 5.0]).unwrap(), 1);
+        assert_eq!(sharder.finish().unwrap().total_sequences(), 2);
+        let (sharded, reports) = ShardedSearch::open_dir(&dir, 8).unwrap();
+        assert!(reports.iter().all(|r| r.is_clean()));
+        assert_eq!(sharded.shard_count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn missing_manifest_is_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("tw-shard-missing-{}", std::process::id()));
         std::fs::create_dir_all(&dir).ok();

@@ -12,7 +12,7 @@ const _: () = assert!(usize::BITS >= 32 && usize::BITS <= 64);
 
 /// `u32` → `usize`, infallible: usize is at least 32 bits (guard above).
 #[inline]
-pub(crate) fn u32_to_usize(n: u32) -> usize {
+pub(crate) const fn u32_to_usize(n: u32) -> usize {
     n as usize
 }
 

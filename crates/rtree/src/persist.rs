@@ -134,11 +134,16 @@ impl From<DecodeError> for PersistError {
     }
 }
 
-/// CRC-32 (IEEE, reflected) — same polynomial as `tw_storage::crc32`,
-/// duplicated here because the rtree crate stands alone (no storage dep).
+/// CRC-32 (IEEE, reflected) — same polynomial, slicing-by-8 kernel and
+/// values as `tw_storage::crc32`, duplicated here because the rtree crate
+/// stands alone (no storage dep). Both copies are pinned to the same
+/// known-answer vectors by their tests so they cannot drift.
 fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+    const SLICES: usize = 8;
+    /// `T[0]` is the classic byte table; `T[k][b]` is the CRC state after
+    /// byte `b` and `k` zero bytes.
+    const fn tables() -> [[u32; 256]; SLICES] {
+        let mut t = [[0u32; 256]; SLICES];
         let mut i = 0usize;
         let mut seed = 0u32;
         while i < 256 {
@@ -152,16 +157,50 @@ fn crc32(data: &[u8]) -> u32 {
                 };
                 bit += 1;
             }
-            t[i] = crc;
+            // tw-allow(slice-index): evaluated at compile time; i < 256
+            t[0][i] = crc;
             i += 1;
             seed += 1;
         }
+        let mut k = 1usize;
+        while k < SLICES {
+            let mut i = 0usize;
+            while i < 256 {
+                // tw-allow(slice-index): evaluated at compile time; 1 <= k < SLICES, i < 256
+                let prev = t[k - 1][i];
+                // tw-allow(slice-index): evaluated at compile time; the last index is a masked byte
+                t[k][i] = (prev >> 8) ^ t[0][u32_to_usize(prev & 0xFF)];
+                i += 1;
+            }
+            k += 1;
+        }
         t
     }
-    static TABLE: [u32; 256] = table();
+    static TABLES: [[u32; 256]; SLICES] = tables();
+    /// `T[k][byte]`; every caller passes a literal `k`.
+    #[inline]
+    fn slice(k: usize, byte: u8) -> u32 {
+        // tw-allow(slice-index): k is a literal < SLICES at each call; a u8 indexes [u32; 256]
+        TABLES[k][usize::from(byte)]
+    }
+
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[u32_to_usize((crc ^ u32::from(b)) & 0xFF)];
+    let mut rest = data;
+    while let Some((&[b0, b1, b2, b3, b4, b5, b6, b7], tail)) = rest.split_first_chunk() {
+        let [c0, c1, c2, c3] = crc.to_le_bytes();
+        crc = slice(7, b0 ^ c0)
+            ^ slice(6, b1 ^ c1)
+            ^ slice(5, b2 ^ c2)
+            ^ slice(4, b3 ^ c3)
+            ^ slice(3, b4)
+            ^ slice(2, b5)
+            ^ slice(1, b6)
+            ^ slice(0, b7);
+        rest = tail;
+    }
+    for &b in rest {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ slice(0, b ^ low);
     }
     !crc
 }
@@ -469,6 +508,22 @@ mod tests {
             );
         }
         t
+    }
+
+    /// The vectors `tw_storage::crc32`'s tests pin, byte for byte (tails of
+    /// 1, 3 and 0 bytes after 1, 5 and 128 eight-byte steps): the two copies
+    /// of the kernel must agree on them or index files and store files stop
+    /// sharing a checksum.
+    #[test]
+    fn crc32_known_vectors_match_the_storage_copy() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(crc32(&pattern), 0x7C32_1B5D);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use crate::pager::{Pager, PagerError};
+use crate::pager::{check_frame, Pager, PagerError};
 
 /// Hit/miss counters for the pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,6 +43,8 @@ struct PoolInner {
     frames: HashMap<u64, Frame>,
     clock: u64,
     stats: BufferStats,
+    /// The buffer of the last evicted frame, kept for the next miss to fill.
+    spare: Option<Box<[u8]>>,
 }
 
 /// An LRU page cache over a pager.
@@ -65,6 +67,7 @@ impl<P: Pager> BufferPool<P> {
                 frames: HashMap::with_capacity(capacity),
                 clock: 0,
                 stats: BufferStats::default(),
+                spare: None,
             }),
             governor: Mutex::new(crate::govern::CancelToken::unlimited()),
             capacity,
@@ -99,17 +102,6 @@ impl<P: Pager> BufferPool<P> {
         self.pager.lock().set_governor(token)
     }
 
-    fn check_frame(&self, got: usize) -> Result<(), PagerError> {
-        if got == self.page_size {
-            Ok(())
-        } else {
-            Err(PagerError::FrameSize {
-                expected: self.page_size,
-                got,
-            })
-        }
-    }
-
     /// Number of pages in the underlying pager.
     pub fn page_count(&self) -> u64 {
         self.pager.lock().page_count()
@@ -130,78 +122,103 @@ impl<P: Pager> BufferPool<P> {
         self.pager.lock().allocate()
     }
 
-    /// Reads a page through the cache into `out`.
-    pub fn read(&self, page: u64, out: &mut [u8]) -> Result<(), PagerError> {
-        self.check_frame(out.len())?;
-        let mut inner = self.inner.lock();
+    /// Runs `f` over the cached bytes of `page`, loading it on a miss, and
+    /// returns what `f` returns. This is the pool's one read path: a hit
+    /// lends the resident frame, a miss reads the page straight into the
+    /// buffer the previous eviction freed and lends that — no copy either
+    /// way.
+    ///
+    /// The frame table stays locked while `f` runs, so `f` must not call
+    /// back into this pool. That is what keeps the borrowed bytes from being
+    /// evicted under it; callers keep `f` to a copy or a decode.
+    pub fn with_page<T>(&self, page: u64, f: impl FnOnce(&[u8]) -> T) -> Result<T, PagerError> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.clock += 1;
-        let clock = inner.clock;
         if let Some(frame) = inner.frames.get_mut(&page) {
-            frame.last_used = clock;
-            out.copy_from_slice(&frame.data);
+            frame.last_used = inner.clock;
             inner.stats.hits += 1;
-            return Ok(());
+            return Ok(f(&frame.data));
         }
         inner.stats.misses += 1;
         let _ = self.governor.lock().charge_pager_reads(1);
-        let mut data = vec![0u8; out.len()].into_boxed_slice();
+        let mut data = self.spare_buffer(inner);
         // tw-allow(lock-hygiene): miss fill pins the frame table so a page loads exactly once
-        self.pager.lock().read_page(page, &mut data)?;
-        out.copy_from_slice(&data);
-        self.insert_frame(&mut inner, page, data, false)?;
-        Ok(())
+        if let Err(e) = self.pager.lock().read_page(page, &mut data) {
+            inner.spare = Some(data);
+            return Err(e);
+        }
+        self.insert_frame(inner, page, data, false).map(f)
+    }
+
+    /// Reads a page through the cache into `out`.
+    pub fn read(&self, page: u64, out: &mut [u8]) -> Result<(), PagerError> {
+        check_frame(self.page_size, out.len())?;
+        self.with_page(page, |bytes| out.copy_from_slice(bytes))
     }
 
     /// Writes a page through the cache (write-back on eviction).
     pub fn write(&self, page: u64, data: &[u8]) -> Result<(), PagerError> {
-        self.check_frame(data.len())?;
-        let mut inner = self.inner.lock();
+        check_frame(self.page_size, data.len())?;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.clock += 1;
-        let clock = inner.clock;
         if let Some(frame) = inner.frames.get_mut(&page) {
             frame.data.copy_from_slice(data);
             frame.dirty = true;
-            frame.last_used = clock;
+            frame.last_used = inner.clock;
             inner.stats.hits += 1;
             return Ok(());
         }
         inner.stats.misses += 1;
-        self.insert_frame(&mut inner, page, data.to_vec().into_boxed_slice(), true)?;
+        let mut frame = self.spare_buffer(inner);
+        frame.copy_from_slice(data);
+        self.insert_frame(inner, page, frame, true)?;
         Ok(())
     }
 
-    fn insert_frame(
+    /// A page-sized buffer for an incoming frame: the one the last eviction
+    /// freed, or a fresh one while the pool is still filling.
+    fn spare_buffer(&self, inner: &mut PoolInner) -> Box<[u8]> {
+        inner
+            .spare
+            .take()
+            .unwrap_or_else(|| vec![0u8; self.page_size].into_boxed_slice())
+    }
+
+    /// Makes `data` the most recently used frame for `page` and returns its
+    /// bytes, first evicting the least recently used frame (written back if
+    /// dirty) when the pool is full. The victim's buffer becomes the spare.
+    fn insert_frame<'a>(
         &self,
-        inner: &mut PoolInner,
+        inner: &'a mut PoolInner,
         page: u64,
         data: Box<[u8]>,
         dirty: bool,
-    ) -> Result<(), PagerError> {
+    ) -> Result<&'a [u8], PagerError> {
         if inner.frames.len() >= self.capacity {
             let victim = inner
                 .frames
                 .iter()
                 .min_by_key(|(_, f)| f.last_used)
                 .map(|(&p, _)| p);
-            if let Some(frame) = victim.and_then(|v| inner.frames.remove(&v).map(|f| (v, f))) {
-                let (victim, frame) = frame;
+            if let Some((victim, frame)) =
+                victim.and_then(|v| inner.frames.remove(&v).map(|f| (v, f)))
+            {
                 inner.stats.evictions += 1;
                 if frame.dirty {
                     inner.stats.writebacks += 1;
                     self.pager.lock().write_page(victim, &frame.data)?;
                 }
+                inner.spare = Some(frame.data);
             }
         }
-        let clock = inner.clock;
-        inner.frames.insert(
-            page,
-            Frame {
-                data,
-                dirty,
-                last_used: clock,
-            },
-        );
-        Ok(())
+        let frame = Frame {
+            data,
+            dirty,
+            last_used: inner.clock,
+        };
+        Ok(&inner.frames.entry(page).or_insert(frame).data)
     }
 
     /// Writes every dirty frame back and syncs the pager.
@@ -266,6 +283,39 @@ mod tests {
         assert_eq!(s.misses, 4);
         assert_eq!(s.hits, 2);
         assert!(s.evictions >= 2);
+    }
+
+    #[test]
+    fn with_page_lends_the_frame_and_counts_like_read() {
+        let mut pager = MemPager::new(64);
+        for i in 0..3u8 {
+            let p = pager.allocate().unwrap();
+            pager.write_page(p, &[i + 1; 64]).unwrap();
+        }
+        let pool = BufferPool::new(pager, 1);
+        // Miss, hit, then a miss that recycles the only frame's buffer.
+        assert_eq!(pool.with_page(0, |b| (b.len(), b[63])).unwrap(), (64, 1));
+        assert_eq!(pool.with_page(0, |b| b[0]).unwrap(), 1);
+        assert_eq!(pool.with_page(2, |b| b[0]).unwrap(), 3);
+        assert_eq!(pool.with_page(0, |b| b[0]).unwrap(), 1);
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 2));
+    }
+
+    #[test]
+    fn failed_miss_changes_nothing_but_the_miss_count() {
+        let pool = pool(1);
+        let mut buf = vec![0u8; 64];
+        pool.write(0, &[5u8; 64]).unwrap(); // dirty, and the only frame
+        assert!(matches!(
+            pool.with_page(99, |_| ()),
+            Err(PagerError::OutOfRange { page: 99, .. })
+        ));
+        let s = pool.stats();
+        assert_eq!((s.evictions, s.writebacks), (0, 0), "victim untouched");
+        pool.read(0, &mut buf).unwrap();
+        assert_eq!(buf, vec![5u8; 64]);
+        assert_eq!(pool.stats().hits, 1);
     }
 
     #[test]

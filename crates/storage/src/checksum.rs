@@ -13,7 +13,10 @@
 //! (IEEE reflected polynomial, as used by zlib and ethernet) is implemented
 //! here directly — the workspace deliberately carries no checksum crate.
 
-use crate::pager::{Pager, PagerError};
+use parking_lot::Mutex;
+
+use crate::convert::u32_to_usize;
+use crate::pager::{check_frame, Pager, PagerError};
 
 /// Checksummed page format generation (see [`Pager::page_format_version`]).
 pub const PAGE_FORMAT_CRC: u32 = 2;
@@ -24,9 +27,16 @@ pub const TRAILER_BYTES: usize = 8;
 const TRAILER_TAG: u16 = u16::from_le_bytes(*b"CP");
 const TRAILER_VERSION: u16 = 1;
 
-/// CRC32 lookup table for the reflected IEEE polynomial 0xEDB88320.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of the slicing-by-8 kernel (one table each).
+const SLICES: usize = 8;
+
+/// Lookup tables for the reflected IEEE polynomial 0xEDB88320 (8 KB).
+/// `T[0]` is the classic byte table; `T[k][b]` is the CRC state after byte
+/// `b` and `k` zero bytes, which is what lets [`Crc32::update`] fold eight
+/// input bytes with eight independent lookups instead of eight dependent
+/// ones.
+const fn crc32_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0usize;
     let mut seed = 0u32;
     while i < 256 {
@@ -40,14 +50,35 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        // tw-allow(slice-index): evaluated at compile time; i < 256
+        tables[0][i] = crc;
         i += 1;
         seed += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < SLICES {
+        let mut i = 0usize;
+        while i < 256 {
+            // tw-allow(slice-index): evaluated at compile time; 1 <= k < SLICES, i < 256
+            let prev = tables[k - 1][i];
+            // tw-allow(slice-index): evaluated at compile time; the last index is a masked byte
+            tables[k][i] = (prev >> 8) ^ tables[0][u32_to_usize(prev & 0xFF)];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; SLICES] = crc32_tables();
+
+/// `T[k][byte]`. Every caller passes a literal `k`, so after inlining both
+/// bounds checks fold away.
+#[inline]
+fn slice(k: usize, byte: u8) -> u32 {
+    // tw-allow(slice-index): k is a literal < SLICES at each call; a u8 indexes [u32; 256]
+    CRC32_TABLES[k][usize::from(byte)]
+}
 
 /// Incremental CRC-32 (IEEE, reflected) — for checksumming data that is
 /// produced in pieces (record header then values) without concatenating.
@@ -61,11 +92,27 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
+    /// Slicing-by-8: eight bytes per step while eight remain, then the
+    /// byte-at-a-time loop for the tail. Same polynomial and values as the
+    /// byte loop alone, for any split of the input across calls.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        for &b in data {
-            crc =
-                (crc >> 8) ^ CRC32_TABLE[crate::convert::u32_to_usize((crc ^ u32::from(b)) & 0xFF)];
+        let mut rest = data;
+        while let Some((&[b0, b1, b2, b3, b4, b5, b6, b7], tail)) = rest.split_first_chunk() {
+            let [c0, c1, c2, c3] = crc.to_le_bytes();
+            crc = slice(7, b0 ^ c0)
+                ^ slice(6, b1 ^ c1)
+                ^ slice(5, b2 ^ c2)
+                ^ slice(4, b3 ^ c3)
+                ^ slice(3, b4)
+                ^ slice(2, b5)
+                ^ slice(1, b6)
+                ^ slice(0, b7);
+            rest = tail;
+        }
+        for &b in rest {
+            let [low, ..] = crc.to_le_bytes();
+            crc = (crc >> 8) ^ slice(0, b ^ low);
         }
         self.state = crc;
     }
@@ -97,6 +144,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[derive(Debug)]
 pub struct ChecksumPager<P: Pager> {
     inner: P,
+    /// One physical page, reused by every read, write and allocate: the
+    /// trailer has to be checked or sealed somewhere other than the caller's
+    /// (trailer-less) buffer.
+    frame: Mutex<Box<[u8]>>,
 }
 
 impl<P: Pager> ChecksumPager<P> {
@@ -108,7 +159,8 @@ impl<P: Pager> ChecksumPager<P> {
             "inner page size {} too small for a checksum trailer",
             inner.page_size()
         );
-        Self { inner }
+        let frame = Mutex::new(vec![0u8; inner.page_size()].into_boxed_slice());
+        Self { inner, frame }
     }
 
     /// The wrapped pager.
@@ -116,9 +168,9 @@ impl<P: Pager> ChecksumPager<P> {
         self.inner
     }
 
-    fn seal(&self, payload: &[u8], frame: &mut [u8]) {
-        let (body, trailer) = frame.split_at_mut(payload.len());
-        body.copy_from_slice(payload);
+    /// Writes the trailer for the payload already in `frame`.
+    fn seal(frame: &mut [u8]) {
+        let (payload, trailer) = frame.split_at_mut(frame.len() - TRAILER_BYTES);
         trailer[0..4].copy_from_slice(&crc32(payload).to_le_bytes());
         trailer[4..6].copy_from_slice(&TRAILER_TAG.to_le_bytes());
         trailer[6..8].copy_from_slice(&TRAILER_VERSION.to_le_bytes());
@@ -163,37 +215,29 @@ impl<P: Pager> Pager for ChecksumPager<P> {
     fn allocate(&mut self) -> Result<u64, PagerError> {
         let page = self.inner.allocate()?;
         // Seal the zeroed payload so the page verifies before first write.
-        let mut frame = vec![0u8; self.inner.page_size()];
-        let payload = vec![0u8; self.page_size()];
-        self.seal(&payload, &mut frame);
-        self.inner.write_page(page, &frame)?;
+        let frame = self.frame.get_mut();
+        frame.fill(0);
+        Self::seal(frame);
+        self.inner.write_page(page, frame)?;
         Ok(page)
     }
 
     fn read_page(&self, page: u64, out: &mut [u8]) -> Result<(), PagerError> {
-        if out.len() != self.page_size() {
-            return Err(PagerError::FrameSize {
-                expected: self.page_size(),
-                got: out.len(),
-            });
-        }
-        let mut frame = vec![0u8; self.inner.page_size()];
+        check_frame(self.page_size(), out.len())?;
+        let mut frame = self.frame.lock();
+        // tw-allow(lock-hygiene): the guard is this read's own buffer, not shared state
         self.inner.read_page(page, &mut frame)?;
-        let payload = Self::verify(page, &frame)?;
-        out.copy_from_slice(payload);
+        out.copy_from_slice(Self::verify(page, &frame)?);
         Ok(())
     }
 
     fn write_page(&mut self, page: u64, data: &[u8]) -> Result<(), PagerError> {
-        if data.len() != self.page_size() {
-            return Err(PagerError::FrameSize {
-                expected: self.page_size(),
-                got: data.len(),
-            });
-        }
-        let mut frame = vec![0u8; self.inner.page_size()];
-        self.seal(data, &mut frame);
-        self.inner.write_page(page, &frame)
+        check_frame(self.page_size(), data.len())?;
+        let frame = self.frame.get_mut();
+        // tw-allow(slice-index): data.len() == frame.len() - TRAILER_BYTES, checked above
+        frame[..data.len()].copy_from_slice(data);
+        Self::seal(frame);
+        self.inner.write_page(page, frame)
     }
 
     fn sync(&mut self) -> Result<(), PagerError> {
@@ -218,6 +262,8 @@ mod tests {
     use super::*;
     use crate::pager::MemPager;
 
+    /// The shared known-answer vectors: `tw_rtree`'s private copy of the
+    /// kernel (`persist.rs`) pins the same four, so the copies cannot drift.
     #[test]
     fn crc32_known_vectors() {
         // Standard test vectors for CRC-32/IEEE.
@@ -227,6 +273,67 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+        let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(crc32(&pattern), 0x7C32_1B5D);
+    }
+
+    /// The definition, one bit at a time: no table, no slicing.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic filler with no period the 8-byte step could hide in.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_matches_the_bitwise_reference_at_every_length() {
+        // Past two 1 KB pages, so every tail length 0..8 follows both few
+        // and many 8-byte steps.
+        let data = noise(2064);
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+        // And from every alignment of the start within a word.
+        for start in 0..16 {
+            assert_eq!(crc32(&data[start..]), crc32_bitwise(&data[start..]));
+        }
+    }
+
+    #[test]
+    fn streamed_update_is_split_invariant() {
+        let data = noise(1024);
+        let whole = crc32_bitwise(&data);
+        for split in 0..=data.len() {
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), whole, "split at {split}");
+        }
     }
 
     #[test]

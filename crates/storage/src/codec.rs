@@ -164,88 +164,98 @@ pub fn encode_record_to_bytes_v2(id: u64, values: &[f64]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes one v1 record from the front of `buf`, advancing it.
-pub fn decode_record(buf: &mut Bytes) -> Result<Record, CodecError> {
-    if buf.remaining() < RECORD_HEADER_BYTES {
+/// Decodes one record in `format` from the front of `bytes`, returning it
+/// with the number of bytes it occupied. This is the one decoder: every
+/// check a stored record must pass — length bound, truncation, the v2 CRC,
+/// NaN refusal — lives here, and it reads straight from the caller's slice
+/// (a borrowed pool frame on the `get` path) into the returned values.
+///
+/// The v2 CRC is verified over the id, length and value bytes before any
+/// value is accepted, so flipped bits anywhere in the record — including
+/// the id — surface as [`CodecError::ChecksumMismatch`], not as wrong data.
+pub(crate) fn decode_record_slice(
+    format: RecordFormat,
+    bytes: &[u8],
+) -> Result<(Record, usize), CodecError> {
+    let Some((head, rest)) = bytes.split_at_checked(format.header_bytes()) else {
         return Err(CodecError::Truncated {
-            needed: RECORD_HEADER_BYTES,
-            available: buf.remaining(),
+            needed: format.header_bytes(),
+            available: bytes.len(),
         });
-    }
-    let id = buf.get_u64_le();
-    let len = buf.get_u32_le();
+    };
+    let (id_len, crc_field) = head.split_at(RECORD_HEADER_BYTES);
+    let (id_bytes, len_bytes) = id_len.split_at(8);
+    let id = u64::from_le_bytes(le_array(id_bytes));
+    let len = u32::from_le_bytes(le_array(len_bytes));
     if len > MAX_RECORD_ELEMS {
         return Err(CodecError::LengthOverflow(len));
     }
-    let body = 8 * u32_to_usize(len);
-    if buf.remaining() < body {
+    let body_len = 8 * u32_to_usize(len);
+    let Some(body) = rest.get(..body_len) else {
         return Err(CodecError::Truncated {
-            needed: body,
-            available: buf.remaining(),
+            needed: body_len,
+            available: rest.len(),
         });
+    };
+    if format == RecordFormat::V2 {
+        let mut crc = Crc32::new();
+        crc.update(id_len);
+        crc.update(body);
+        // Do not decode values the checksum disowns.
+        if crc.finalize() != u32::from_le_bytes(le_array(crc_field)) {
+            return Err(CodecError::ChecksumMismatch { id });
+        }
     }
     let mut values = Vec::with_capacity(u32_to_usize(len));
-    for index in 0..u32_to_usize(len) {
-        let v = buf.get_f64_le();
+    for (index, chunk) in body.chunks_exact(8).enumerate() {
+        let v = f64::from_le_bytes(le_array(chunk));
         if v.is_nan() {
             return Err(CodecError::NanElement { id, index });
         }
         values.push(v);
     }
-    Ok(Record { id, values })
+    Ok((Record { id, values }, head.len() + body.len()))
+}
+
+/// The element count the record header at the front of `bytes` declares,
+/// not yet bounded; `None` when `bytes` ends before the length field does.
+pub(crate) fn declared_len(bytes: &[u8]) -> Option<u32> {
+    let field = bytes.get(8..RECORD_HEADER_BYTES)?;
+    Some(u32::from_le_bytes(le_array(field)))
+}
+
+/// The little-endian field held by `field`, whose length the caller has
+/// already fixed to `N` by splitting; a mismatch would read as zeros.
+fn le_array<const N: usize>(field: &[u8]) -> [u8; N] {
+    field.try_into().unwrap_or([0; N])
+}
+
+/// Decodes one v1 record from the front of `buf`, advancing it.
+pub fn decode_record(buf: &mut Bytes) -> Result<Record, CodecError> {
+    decode_record_fmt(RecordFormat::V1, buf)
 }
 
 /// Decodes one checksummed v2 record from the front of `buf`, advancing it.
-///
-/// The CRC is verified over the id, length and value bytes before any value
-/// is accepted, so flipped bits anywhere in the record — including the id —
-/// surface as [`CodecError::ChecksumMismatch`], not as wrong data.
 pub fn decode_record_v2(buf: &mut Bytes) -> Result<Record, CodecError> {
-    if buf.remaining() < RECORD_HEADER_BYTES_V2 {
-        return Err(CodecError::Truncated {
-            needed: RECORD_HEADER_BYTES_V2,
-            available: buf.remaining(),
-        });
-    }
-    // Keep the raw header bytes in view for the CRC before advancing.
-    let id_len_bytes = buf.slice(0..RECORD_HEADER_BYTES);
-    let id = buf.get_u64_le();
-    let len = buf.get_u32_le();
-    let stored_crc = buf.get_u32_le();
-    if len > MAX_RECORD_ELEMS {
-        return Err(CodecError::LengthOverflow(len));
-    }
-    let body = 8 * u32_to_usize(len);
-    if buf.remaining() < body {
-        return Err(CodecError::Truncated {
-            needed: body,
-            available: buf.remaining(),
-        });
-    }
-    let mut crc = Crc32::new();
-    crc.update(&id_len_bytes);
-    crc.update(&buf.slice(0..body));
-    if crc.finalize() != stored_crc {
-        // Do not decode values the checksum disowns.
-        buf.advance(body);
-        return Err(CodecError::ChecksumMismatch { id });
-    }
-    let mut values = Vec::with_capacity(u32_to_usize(len));
-    for index in 0..u32_to_usize(len) {
-        let v = buf.get_f64_le();
-        if v.is_nan() {
-            return Err(CodecError::NanElement { id, index });
-        }
-        values.push(v);
-    }
-    Ok(Record { id, values })
+    decode_record_fmt(RecordFormat::V2, buf)
 }
 
-/// Decodes one record in `format` from the front of `buf`, advancing it.
+/// Decodes one record in `format` from the front of `buf`, advancing it past
+/// the record — also when the checksum disowns it, so a stream can step over
+/// a corrupt record deliberately. Any other error leaves `buf` where it was.
 pub fn decode_record_fmt(format: RecordFormat, buf: &mut Bytes) -> Result<Record, CodecError> {
-    match format {
-        RecordFormat::V1 => decode_record(buf),
-        RecordFormat::V2 => decode_record_v2(buf),
+    match decode_record_slice(format, buf) {
+        Ok((record, used)) => {
+            buf.advance(used);
+            Ok(record)
+        }
+        Err(e) => {
+            if let (CodecError::ChecksumMismatch { .. }, Some(len)) = (&e, declared_len(buf)) {
+                // The length passed its bound and the body is all there.
+                buf.advance(format.encoded_len(u32_to_usize(len)));
+            }
+            Err(e)
+        }
     }
 }
 

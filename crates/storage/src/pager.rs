@@ -158,7 +158,7 @@ impl<P: Pager + ?Sized> Pager for Box<P> {
 }
 
 /// Rejects a frame buffer whose size does not match the page size.
-fn check_frame(expected: usize, got: usize) -> Result<(), PagerError> {
+pub(crate) fn check_frame(expected: usize, got: usize) -> Result<(), PagerError> {
     if expected == got {
         Ok(())
     } else {

@@ -16,7 +16,9 @@ use parking_lot::Mutex;
 
 use crate::buffer::{BufferPool, BufferStats};
 use crate::checksum::Crc32;
-use crate::codec::{decode_record_fmt, encode_record_fmt, CodecError, RecordFormat};
+use crate::codec::{
+    declared_len, decode_record_slice, encode_record_fmt, CodecError, RecordFormat,
+};
 use crate::convert::{in_page_usize, record_len_u32, u32_to_usize, usize_to_u64};
 use crate::cost::IoProfile;
 use crate::pager::{MemPager, Pager, PagerError};
@@ -49,6 +51,13 @@ pub enum StoreError {
     },
     /// Persisted state is internally inconsistent (beyond a single record).
     Corrupt(&'static str),
+    /// An append offered a NaN element. The decoder refuses NaN as
+    /// corruption, so storing one would poison every later `scan`/`open`;
+    /// it is refused as bad input before a byte is written.
+    InvalidElement {
+        index: usize,
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -67,6 +76,9 @@ impl std::fmt::Display for StoreError {
                  format-{pager} pager stack"
             ),
             StoreError::Corrupt(w) => write!(f, "store is corrupt: {w}"),
+            StoreError::InvalidElement { index, value } => {
+                write!(f, "element {index} cannot be stored: {value}")
+            }
         }
     }
 }
@@ -264,20 +276,25 @@ impl<P: Pager> SequenceStore<P> {
         let format = store.format;
         let data_len = usize::try_from(data_bytes)
             .map_err(|_| StoreError::Corrupt("data extent exceeds address space"))?;
-        let mut raw = store.read_span(0, data_len)?;
-        let mut offset = 0u64;
-        for expected_id in 0..count {
-            let before = raw.remaining();
-            let rec = decode_record_fmt(format, &mut raw)?;
-            if rec.id != expected_id {
-                return Err(StoreError::Corrupt("record id out of order"));
+        // Filled outside `store` because `with_span` borrows it.
+        let mut directory = std::mem::take(&mut store.directory);
+        store.with_span(0, data_len, |mut raw| {
+            let mut offset = 0u64;
+            for expected_id in 0..count {
+                let (rec, used) = decode_record_slice(format, raw)?;
+                if rec.id != expected_id {
+                    return Err(StoreError::Corrupt("record id out of order"));
+                }
+                directory.push(DirEntry {
+                    offset,
+                    len: record_len_u32(rec.values.len()),
+                });
+                offset += usize_to_u64(used);
+                raw = raw.get(used..).unwrap_or_default();
             }
-            store.directory.push(DirEntry {
-                offset,
-                len: record_len_u32(rec.values.len()),
-            });
-            offset += usize_to_u64(before - raw.remaining());
-        }
+            Ok(())
+        })?;
+        store.directory = directory;
         *store.io.lock() = IoProfile::default();
         Ok(store)
     }
@@ -309,22 +326,19 @@ impl<P: Pager> SequenceStore<P> {
             if offset + header_need > data_end {
                 break;
             }
-            let mut head = match store.read_span(offset, format.header_bytes()) {
-                Ok(b) => b,
-                Err(_) => break,
+            let Ok(Some(len)) =
+                store.with_span(offset, format.header_bytes(), |head| Ok(declared_len(head)))
+            else {
+                break;
             };
-            let _id = head.get_u64_le();
-            let len = head.get_u32_le();
             let need_bytes = format.encoded_len(u32_to_usize(len));
             let need = usize_to_u64(need_bytes);
             if len > crate::codec::MAX_RECORD_ELEMS || offset + need > data_end {
                 break;
             }
-            let mut raw = match store.read_span(offset, need_bytes) {
-                Ok(b) => b,
-                Err(_) => break,
-            };
-            match decode_record_fmt(format, &mut raw) {
+            match store.with_span(offset, need_bytes, |raw| {
+                Ok(decode_record_slice(format, raw)?.0)
+            }) {
                 Ok(rec) if rec.id == expected_id => {
                     store.directory.push(DirEntry {
                         offset,
@@ -407,8 +421,13 @@ impl<P: Pager> SequenceStore<P> {
             .ok_or(StoreError::UnknownSequence(id))
     }
 
-    /// Appends a sequence, returning its id.
+    /// Appends a sequence, returning its id. NaN elements are refused with
+    /// [`StoreError::InvalidElement`] and leave the store untouched;
+    /// infinities are ordered and stay storable.
     pub fn append(&mut self, values: &[f64]) -> Result<SeqId, StoreError> {
+        if let Some((index, &value)) = values.iter().enumerate().find(|(_, v)| v.is_nan()) {
+            return Err(StoreError::InvalidElement { index, value });
+        }
         let id = usize_to_u64(self.directory.len());
         let mut buf = BytesMut::new();
         encode_record_fmt(self.format, &mut buf, id, values);
@@ -427,8 +446,9 @@ impl<P: Pager> SequenceStore<P> {
     pub fn get(&self, id: SeqId) -> Result<Vec<f64>, StoreError> {
         let e = self.dir(id)?;
         let bytes = self.format.encoded_len(u32_to_usize(e.len));
-        let mut raw = self.read_span(e.offset, bytes)?;
-        let rec = decode_record_fmt(self.format, &mut raw)?;
+        let (rec, _) = self.with_span(e.offset, bytes, |raw| {
+            Ok(decode_record_slice(self.format, raw)?)
+        })?;
         if rec.id != id {
             return Err(StoreError::Corrupt("record id does not match directory"));
         }
@@ -456,22 +476,27 @@ impl<P: Pager> SequenceStore<P> {
     where
         F: FnMut(SeqId, Vec<f64>),
     {
-        let mut buf = BytesMut::new();
-        let mut page_buf = vec![0u8; self.page_size];
+        // Undecoded bytes of the pages read so far; `at` is where the next
+        // record starts in it.
+        let mut buf = Vec::new();
+        let mut at = 0usize;
         let mut next_page = 1u64; // page 0 is the header
         let last_page = self.data_page(self.write_cursor.saturating_sub(1));
         for (idx, entry) in self.directory.iter().enumerate() {
             let need = self.format.encoded_len(u32_to_usize(entry.len));
-            while buf.len() < need {
+            while buf.len() - at < need {
                 if next_page > last_page {
                     return Err(StoreError::Corrupt("directory points past the data region"));
                 }
-                self.pool.read(next_page, &mut page_buf)?;
-                buf.extend_from_slice(&page_buf);
+                buf.drain(..at);
+                at = 0;
+                self.pool
+                    .with_page(next_page, |page| buf.extend_from_slice(page))?;
                 next_page += 1;
             }
-            let mut record = buf.split_to(need).freeze();
-            let rec = decode_record_fmt(self.format, &mut record)?;
+            let record = buf.get(at..at + need).unwrap_or_default();
+            let (rec, _) = decode_record_slice(self.format, record)?;
+            at += need;
             if rec.id != usize_to_u64(idx) {
                 return Err(StoreError::Corrupt("record id does not match directory"));
             }
@@ -558,22 +583,38 @@ impl<P: Pager> SequenceStore<P> {
         1 + offset / usize_to_u64(self.page_size)
     }
 
-    fn read_span(&self, offset: u64, len: usize) -> Result<Bytes, StoreError> {
+    /// Runs `f` over the `len` data-region bytes at `offset`. Bytes that sit
+    /// inside one page — most records — are lent straight from the pool
+    /// frame; a span that straddles pages is assembled once. Either way each
+    /// page is read through the pool exactly once, first to last.
+    fn with_span<T>(
+        &self,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
         if len == 0 {
-            return Ok(Bytes::new());
+            return f(&[]);
         }
-        let ps = usize_to_u64(self.page_size);
+        let start = in_page_usize(offset % usize_to_u64(self.page_size));
         let first = self.data_page(offset);
-        let last = self.data_page(offset + usize_to_u64(len) - 1);
-        let span = usize::try_from((last - first + 1) * ps).unwrap_or(0);
-        let mut raw = BytesMut::with_capacity(span);
-        let mut page_buf = vec![0u8; self.page_size];
-        for p in first..=last {
-            self.pool.read(p, &mut page_buf)?;
-            raw.extend_from_slice(&page_buf);
+        if start + len <= self.page_size {
+            return self.pool.with_page(first, |page| {
+                f(page.get(start..start + len).unwrap_or_default())
+            })?;
         }
-        let start = in_page_usize(offset % ps);
-        Ok(raw.freeze().slice(start..start + len))
+        let mut raw = Vec::with_capacity(len);
+        let mut page = first;
+        let mut skip = start;
+        while raw.len() < len {
+            self.pool.with_page(page, |bytes| {
+                let rest = bytes.get(skip..).unwrap_or_default();
+                raw.extend_from_slice(rest.get(..len - raw.len()).unwrap_or(rest));
+            })?;
+            page += 1;
+            skip = 0;
+        }
+        f(&raw)
     }
 
     fn write_span(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
@@ -753,6 +794,32 @@ mod tests {
         let id = store.append(&[]).unwrap();
         assert_eq!(store.get(id).unwrap(), Vec::<f64>::new());
         assert_eq!(store.sequence_len(id).unwrap(), 0);
+    }
+
+    #[test]
+    fn nan_append_is_refused_as_input_and_leaves_the_store_intact() {
+        let mut store = SequenceStore::in_memory();
+        store.append(&[1.0, 2.0]).unwrap();
+        let bytes = store.data_bytes();
+        let err = store.append(&[1.0, f64::NAN]).unwrap_err();
+        assert!(
+            matches!(err, StoreError::InvalidElement { index: 1, value } if value.is_nan()),
+            "{err}"
+        );
+        assert!(!err.is_corruption(), "bad input is not damaged bytes");
+        assert_eq!((store.len(), store.data_bytes()), (1, bytes));
+        // Infinities are ordered and stay storable; later appends, a scan
+        // and a strict reopen all succeed.
+        let id = store.append(&[f64::INFINITY, f64::NEG_INFINITY]).unwrap();
+        assert_eq!(id, 1);
+        assert_eq!(store.scan().unwrap().len(), 2);
+        store.flush().unwrap();
+        let reopened = SequenceStore::open(store.pool.into_pager().unwrap(), 4).unwrap();
+        assert_eq!(reopened.len(), 2);
+        assert_eq!(
+            reopened.get(1).unwrap(),
+            vec![f64::INFINITY, f64::NEG_INFINITY]
+        );
     }
 
     #[test]

@@ -4,8 +4,25 @@
 use proptest::prelude::*;
 
 use tw_storage::{
-    decode_record, encode_record_to_bytes, BufferPool, MemPager, Pager, SequenceStore,
+    crc32, decode_record, encode_record_to_bytes, BufferPool, Crc32, MemPager, Pager, SequenceStore,
 };
+
+/// CRC-32/IEEE by definition, one bit at a time — the reference the
+/// slicing-by-8 kernel must equal.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
 
 fn values_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 0..300)
@@ -13,6 +30,27 @@ fn values_strategy() -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// CRC-32: the kernel equals the bitwise definition for any bytes,
+    /// however an incremental caller cuts them up.
+    #[test]
+    fn crc32_equals_bitwise_reference_under_any_split(
+        data in prop::collection::vec(any::<u8>(), 0..3000),
+        cuts in prop::collection::vec(0usize..3000, 0..6),
+    ) {
+        let expect = crc32_bitwise(&data);
+        prop_assert_eq!(crc32(&data), expect);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut streamed = Crc32::new();
+        let mut from = 0;
+        for cut in cuts {
+            streamed.update(&data[from..cut]);
+            from = cut;
+        }
+        streamed.update(&data[from..]);
+        prop_assert_eq!(streamed.finalize(), expect);
+    }
 
     /// Codec: encode/decode is the identity for any finite payload.
     #[test]
