@@ -53,9 +53,15 @@ pub struct EngineOpts {
     /// The time-warping recurrence (default: the paper's L∞,
     /// [`DtwKind::MaxAbs`]).
     pub kind: DtwKind,
-    /// Worker threads for candidate verification (default 1, sequential).
-    /// kNN does not consult it: a best-first stream verifies one candidate
-    /// at a time against a threshold the previous one may have tightened.
+    /// The most worker threads one range query may use for verification
+    /// and shard fan-out (default 1, sequential). A ceiling, not an
+    /// instruction: a query splits only as far as its estimated DP work
+    /// pays for, one worker per 2¹⁷ cells (≈ 49 µs of thread spawn + join
+    /// at the lane kernel's ≈ 2.4 Gcells/s), so a selective query runs on
+    /// the calling thread whatever this says. Answers and counters are the
+    /// same at every value. kNN does not consult it: a best-first stream
+    /// verifies one candidate at a time against a threshold the previous
+    /// one may have tightened.
     pub threads: usize,
     /// How candidates are verified: exact early-abandoning DTW or a
     /// Sakoe–Chiba band (default [`VerifyMode::Exact`]).
@@ -111,7 +117,7 @@ impl EngineOpts {
         self
     }
 
-    /// Sets the verification thread count (must be at least 1).
+    /// Sets the thread ceiling (must be at least 1; see the `threads` field).
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one verify worker");
         self.threads = threads;

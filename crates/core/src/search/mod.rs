@@ -13,7 +13,6 @@ mod hybrid;
 mod knn;
 mod lb_scan;
 mod naive_scan;
-mod parallel;
 mod resilient;
 mod sharded;
 mod st_filter;
@@ -27,7 +26,6 @@ pub use hybrid::{HybridPlan, HybridSearch};
 pub use knn::{KnnMatch, KnnOutcome, ShardedKnnOutcome};
 pub use lb_scan::LbScan;
 pub use naive_scan::NaiveScan;
-pub use parallel::parallel_query_batch;
 pub use resilient::ResilientSearch;
 pub use sharded::{CorpusSharder, ShardHandle, ShardedOutcome, ShardedSearch};
 pub use st_filter::StFilterSearch;

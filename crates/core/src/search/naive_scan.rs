@@ -176,6 +176,55 @@ mod tests {
         assert_eq!(res.stats.db_size, 0);
     }
 
+    fn threaded_scan(
+        store: &SequenceStore<tw_storage::MemPager>,
+        query: &[f64],
+        epsilon: f64,
+        threads: usize,
+    ) -> SearchOutcome {
+        let opts = EngineOpts::new().kind(DtwKind::MaxAbs).threads(threads);
+        NaiveScan
+            .range_search(store, query, epsilon, &opts)
+            .unwrap()
+    }
+
+    fn grid_db(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let base = (i % 9) as f64;
+                vec![base, base + 0.4, base + 0.9, base + 0.2]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threaded_scan_agrees_with_sequential_scan() {
+        let store = store_with(&grid_db(137));
+        let query = vec![4.1, 4.5, 4.8];
+        for threads in [2usize, 4, 7] {
+            for eps in [0.2, 0.6, 3.0] {
+                let seq = threaded_scan(&store, &query, eps, 1);
+                let par = threaded_scan(&store, &query, eps, threads);
+                assert_eq!(seq.ids(), par.ids(), "threads={threads} eps={eps}");
+                assert_eq!(seq.stats.dtw_cells, par.stats.dtw_cells);
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_rows() {
+        let store = store_with(&grid_db(3));
+        let res = threaded_scan(&store, &[1.0, 1.4], 0.5, 16);
+        assert_eq!(res.stats.dtw_invocations, 3);
+    }
+
+    #[test]
+    fn threaded_scan_of_empty_database() {
+        let store = SequenceStore::in_memory();
+        let res = threaded_scan(&store, &[1.0], 1.0, 4);
+        assert!(res.matches.is_empty());
+    }
+
     #[test]
     fn works_under_additive_kinds() {
         let store = store_with(&db());

@@ -18,6 +18,12 @@
 //! concurrent queries and the waiting line, and a query arriving past both
 //! bounds is *shed*, returning an empty outcome marked
 //! [`Termination::Shed`] instead of stacking up unboundedly.
+//!
+//! A query runs in two calls, [`ResilientSearch::probe`] (admission plus
+//! the index filter) and [`ResilientSearch::refine`] (fetch, cascade and
+//! verify, or the fallback), so the shard fan-out can size the work from
+//! the probe before it spends a thread on it. `range_search` is the two
+//! back to back.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,8 +31,35 @@ use std::sync::Arc;
 use tw_storage::{Pager, SequenceStore};
 
 use crate::error::TwError;
-use crate::govern::{Admission, AdmissionGate, Termination};
+use crate::govern::{Admission, AdmissionGate, AdmissionPermit, Termination};
+use crate::search::tw_sim_search::Filtered;
 use crate::search::{EngineHealth, EngineOpts, LbScan, SearchEngine, SearchOutcome, TwSimSearch};
+
+/// A query admitted (or shed) by a [`ResilientSearch`] and, on the index
+/// path, already filtered. An admission permit inside is held until
+/// [`ResilientSearch::refine`] returns.
+#[derive(Debug)]
+pub(crate) enum Probe {
+    /// The admission gate shed the query.
+    Shed,
+    /// The index is offline: the refine step is an LB-Scan of the store.
+    Offline(Option<AdmissionPermit>),
+    /// The index proposed these candidates.
+    Filtered(Option<AdmissionPermit>, Filtered),
+}
+
+impl Probe {
+    /// Sequences the refine step will consider: the index's proposals,
+    /// the whole store (`store_len`) when the index is offline, none when
+    /// shed.
+    pub(crate) fn proposed(&self, store_len: usize) -> usize {
+        match self {
+            Probe::Shed => 0,
+            Probe::Offline(_) => store_len,
+            Probe::Filtered(_, filtered) => filtered.proposed(),
+        }
+    }
+}
 
 /// An engine that prefers the index and survives without it.
 #[derive(Debug, Clone)]
@@ -106,6 +139,67 @@ impl ResilientSearch {
         )
     }
 
+    /// The first half of a query: admission control (a shed query never
+    /// touches the store), then — when the index is online — the query's
+    /// validation and the R-tree filter.
+    pub(crate) fn probe(
+        &self,
+        query: &[f64],
+        epsilon: f64,
+        opts: &EngineOpts,
+    ) -> Result<Probe, TwError> {
+        let permit = match &self.gate {
+            Some(gate) => match gate.admit() {
+                Admission::Granted(permit) => Some(permit),
+                Admission::Shed => return Ok(Probe::Shed),
+            },
+            None => None,
+        };
+        Ok(match &self.primary {
+            Some(primary) => Probe::Filtered(permit, primary.filter(query, epsilon, opts)?),
+            None => Probe::Offline(permit),
+        })
+    }
+
+    /// The second half of a query: refines a [`Probe`] taken with the same
+    /// `query`, `epsilon` and `opts`. An offline index, or a recoverable
+    /// failure on the index path, answers through LB-Scan and says so.
+    pub(crate) fn refine<P: Pager>(
+        &self,
+        store: &SequenceStore<P>,
+        probe: Probe,
+        query: &[f64],
+        epsilon: f64,
+        opts: &EngineOpts,
+    ) -> Result<SearchOutcome, TwError> {
+        match probe {
+            Probe::Shed => Ok(SearchOutcome {
+                termination: Termination::Shed,
+                ..SearchOutcome::default()
+            }),
+            Probe::Offline(_permit) => {
+                let reason = self
+                    .offline_reason
+                    .clone()
+                    .unwrap_or_else(|| "index offline".to_string());
+                Self::fall_back(store, query, epsilon, opts, reason)
+            }
+            Probe::Filtered(_permit, filtered) => {
+                match filtered.refine(store, query, epsilon, opts) {
+                    Ok(outcome) => Ok(outcome),
+                    Err(err) if Self::recoverable(&err) => {
+                        let reason = format!("index path failed: {err}");
+                        // If the store itself is unreadable the scan fails
+                        // too; the original error explains more than the
+                        // scan's would.
+                        Self::fall_back(store, query, epsilon, opts, reason).map_err(|_| err)
+                    }
+                    Err(err) => Err(err),
+                }
+            }
+        }
+    }
+
     fn fall_back<P: Pager>(
         store: &SequenceStore<P>,
         query: &[f64],
@@ -134,38 +228,8 @@ impl<P: Pager> SearchEngine<P> for ResilientSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        // Admission control first: a shed query never touches the store. The
-        // permit is held for the rest of this call and released on return or
-        // unwind.
-        let _permit = match &self.gate {
-            Some(gate) => match gate.admit() {
-                Admission::Granted(permit) => Some(permit),
-                Admission::Shed => {
-                    return Ok(SearchOutcome {
-                        termination: Termination::Shed,
-                        ..SearchOutcome::default()
-                    });
-                }
-            },
-            None => None,
-        };
-        let Some(primary) = &self.primary else {
-            let reason = self
-                .offline_reason
-                .clone()
-                .unwrap_or_else(|| "index offline".to_string());
-            return Self::fall_back(store, query, epsilon, opts, reason);
-        };
-        match primary.range_search(store, query, epsilon, opts) {
-            Ok(outcome) => Ok(outcome),
-            Err(err) if Self::recoverable(&err) => {
-                let reason = format!("index path failed: {err}");
-                // If the store itself is unreadable the scan fails too; the
-                // original error explains more than the scan's would.
-                Self::fall_back(store, query, epsilon, opts, reason).map_err(|_| err)
-            }
-            Err(err) => Err(err),
-        }
+        let probe = self.probe(query, epsilon, opts)?;
+        self.refine(store, probe, query, epsilon, opts)
     }
 }
 

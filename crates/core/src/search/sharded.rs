@@ -6,9 +6,8 @@
 //! each with its own segment file, STR-bulk-loaded index and envelope
 //! sidecar. [`ShardedSearch`] owns one [`ShardHandle`] per shard. kNN is
 //! one global best-first search with every shard as a source (see
-//! `search/knn.rs`); range queries run against every shard —
-//! sequentially or on scoped worker threads — and the per-shard
-//! [`SearchOutcome`]s merge:
+//! `search/knn.rs`); range queries run against every shard and the
+//! per-shard [`SearchOutcome`]s merge:
 //!
 //! * **matches** — shard-local ids are remapped by the shard's base id;
 //!   shards own contiguous ascending id ranges, so concatenating per-shard
@@ -28,6 +27,19 @@
 //!   (its [`ResilientSearch`] answers through LB-Scan); the merged health
 //!   names the degraded shards while the rest keep using their indexes.
 //!
+//! Threads are spent only where the DP pays for them. The fan-out probes
+//! shards in order on the calling thread — admission and R-tree filter —
+//! adding up an upper-bound DP estimate of `proposed × |Q|²` cells (a
+//! shard whose index is offline proposes its whole store). While that
+//! estimate pays for a single worker only ([`workers_for`], 2¹⁷ cells per
+//! worker: ≈ 49 µs of spawn + join at the lane kernel's ≈ 2.4 Gcells/s),
+//! every shard is probed and then refined inline in shard order. At the
+//! first shard that crosses the gate probing stops and the chunked
+//! fan-out over `EngineOpts::threads` workers takes over, reusing the
+//! probed ids, so no tree is walked twice. Either way each shard fetches
+//! sequentially and verification is per-candidate, so answers and
+//! counters are the same for every thread count.
+//!
 //! [`CorpusSharder`] is the matching ingest side: it folds appended
 //! sequences into shard files and commits the corpus by writing the CRC'd
 //! manifest last (atomically), so a crash mid-fold leaves a corpus that
@@ -45,6 +57,8 @@ use tw_storage::{
 use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::govern::{termination_of, CancelToken};
 use crate::search::knn::{knn_best_first, KnnSource};
+use crate::search::resilient::Probe;
+use crate::search::verify::workers_for;
 use crate::search::{
     EngineHealth, EngineOpts, ResilientSearch, SearchEngine, SearchOutcome, ShardedKnnOutcome,
     TwSimSearch,
@@ -232,41 +246,62 @@ impl<S: Pager + Send> ShardedSearch<S> {
         o
     }
 
-    fn query_shard(
-        shard: &ShardHandle<S>,
+    /// Probes shards in shard order until the estimated DP work crosses
+    /// the work gate: returns the probes taken (every shard's when it never
+    /// crosses) and the number of workers the refine step runs on — 1
+    /// below the gate, `threads` (at most one per shard) past it. Shard
+    /// engines carry no admission gate (a corpus is admitted once, in front
+    /// of the fan-out), so holding several probes at once never waits on a
+    /// permit.
+    fn probe_shards(
+        &self,
         query: &[f64],
         epsilon: f64,
-        opts: &EngineOpts,
-        token: &CancelToken,
-    ) -> Result<SearchOutcome, TwError> {
-        let shard_opts = Self::shard_opts(shard, opts, token);
-        shard
-            .engine
-            .range_search(&shard.store, query, epsilon, &shard_opts)
+        shard_opts: &[EngineOpts],
+        threads: usize,
+    ) -> Result<(Vec<Probe>, usize), TwError> {
+        let ceiling = threads.min(self.shards.len());
+        let cells_per_proposal = (query.len() as u64).saturating_pow(2);
+        let mut cells = 0u64;
+        let mut probes = Vec::with_capacity(self.shards.len());
+        for (shard, opts) in self.shards.iter().zip(shard_opts) {
+            let probe = shard.engine.probe(query, epsilon, opts)?;
+            let proposed = probe.proposed(shard.store.len()) as u64;
+            cells = cells.saturating_add(proposed.saturating_mul(cells_per_proposal));
+            probes.push(probe);
+            if workers_for(cells, ceiling) > 1 {
+                return Ok((probes, ceiling));
+            }
+        }
+        Ok((probes, 1))
     }
 
-    /// Runs `job` once per shard — in shard order when `opts.threads == 1`
-    /// (deterministic call order for mockable clocks), otherwise in
-    /// `workers` chunks: the first on the calling thread, the rest on
-    /// scoped worker threads — returning results in shard order either way.
-    fn fan_out<T: Send>(
-        &self,
-        threads: usize,
-        job: impl Fn(&ShardHandle<S>) -> T + Sync,
+    /// Runs `job` over `items` (one per shard, in shard order) — all on the
+    /// calling thread when `workers <= 1`, otherwise in `workers` chunks:
+    /// the first on the calling thread, the rest on scoped worker threads —
+    /// returning results in item order either way.
+    fn fan_out<I: Send, T: Send>(
+        items: Vec<I>,
+        workers: usize,
+        job: impl Fn(I) -> T + Sync,
     ) -> Vec<T> {
-        let n = self.shards.len();
-        let workers = threads.min(n.max(1));
         if workers <= 1 {
-            return self.shards.iter().map(job).collect();
+            return items.into_iter().map(job).collect();
         }
+        let size = items.len().div_ceil(workers);
+        let mut items = items.into_iter();
+        let first: Vec<I> = items.by_ref().take(size).collect();
         let job = &job;
-        let mut parts = self.shards.chunks(n.div_ceil(workers));
-        let first = parts.next().unwrap_or_default();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .map(|part| scope.spawn(move || part.iter().map(job).collect::<Vec<T>>()))
-                .collect();
-            let mut results: Vec<T> = first.iter().map(job).collect();
+            let mut handles = Vec::new();
+            loop {
+                let part: Vec<I> = items.by_ref().take(size).collect();
+                if part.is_empty() {
+                    break;
+                }
+                handles.push(scope.spawn(move || part.into_iter().map(job).collect::<Vec<T>>()));
+            }
+            let mut results: Vec<T> = first.into_iter().map(job).collect();
             for h in handles {
                 results.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
             }
@@ -276,7 +311,9 @@ impl<S: Pager + Send> ShardedSearch<S> {
 
     /// The fan-out range query: every shard answers (exactly, possibly
     /// degraded, possibly cut short by the shared budget) and the
-    /// outcomes merge into one corpus-level [`SearchOutcome`].
+    /// outcomes merge into one corpus-level [`SearchOutcome`]. Below the
+    /// work gate (see the module docs) the whole query runs on the calling
+    /// thread.
     pub fn range_search_sharded(
         &self,
         query: &[f64],
@@ -287,8 +324,30 @@ impl<S: Pager + Send> ShardedSearch<S> {
         validate_tolerance(epsilon)?;
         let started = wall_now();
         let token = opts.arm_budget();
-        let results = self.fan_out(opts.threads, |shard| {
-            Self::query_shard(shard, query, epsilon, opts, &token)
+        let shard_opts: Vec<EngineOpts> = self
+            .shards
+            .iter()
+            .map(|shard| Self::shard_opts(shard, opts, &token))
+            .collect();
+        let (probes, workers) = self.probe_shards(query, epsilon, &shard_opts, opts.threads)?;
+        // Shards past the last probe are probed by their worker. Each
+        // refine polls the shared token before every fetch, so a shard
+        // refined after a trip fetches nothing.
+        let mut probes = probes.into_iter();
+        let jobs: Vec<_> = self
+            .shards
+            .iter()
+            .zip(&shard_opts)
+            .map(|(shard, opts)| (shard, opts, probes.next()))
+            .collect();
+        let results = Self::fan_out(jobs, workers, |(shard, opts, probe)| {
+            let probe = match probe {
+                Some(probe) => probe,
+                None => shard.engine.probe(query, epsilon, opts)?,
+            };
+            shard
+                .engine
+                .refine(&shard.store, probe, query, epsilon, opts)
         });
 
         let mut merged = SearchOutcome::default();
@@ -624,6 +683,124 @@ mod tests {
             let got = sharded.range_search_sharded(&query, 4.0, &opts).unwrap();
             assert_eq!(got.merged.ids(), base.merged.ids(), "threads={threads}");
             assert!(got.merged.query_stats.counters_eq(&base.merged.query_stats));
+        }
+    }
+
+    /// Probes `sharded` the way `range_search_sharded` does.
+    fn probe<S: Pager + Send>(
+        sharded: &ShardedSearch<S>,
+        query: &[f64],
+        eps: f64,
+        threads: usize,
+    ) -> (Vec<Probe>, usize) {
+        let token = CancelToken::unlimited();
+        let opts = EngineOpts::new();
+        let shard_opts: Vec<EngineOpts> = sharded
+            .shards
+            .iter()
+            .map(|shard| ShardedSearch::shard_opts(shard, &opts, &token))
+            .collect();
+        sharded
+            .probe_shards(query, eps, &shard_opts, threads)
+            .unwrap()
+    }
+
+    #[test]
+    fn selective_queries_stay_on_the_calling_thread() {
+        // 40 × 12-point sequences: at most 5.8 k estimated cells.
+        let data = corpus(40, 12);
+        let sharded = ShardedSearch::build_in_memory(&data, 6, None).unwrap();
+        for threads in [1usize, 2, 4, 8] {
+            let (probes, workers) = probe(&sharded, &walk(21, 12), 1e3, threads);
+            assert_eq!(workers, 1, "threads={threads}");
+            assert_eq!(probes.len(), sharded.shard_count());
+        }
+    }
+
+    #[test]
+    fn probing_stops_at_the_first_shard_that_crosses_the_gate() {
+        // 4 shards × 128 × 32 points: every sequence proposed is 128 × 32²
+        // = 2¹⁷ estimated cells per shard, so the second shard crosses.
+        let data = corpus(512, 32);
+        let sharded = ShardedSearch::build_in_memory(&data, 128, None).unwrap();
+        let query = walk(77, 32);
+        let (probes, workers) = probe(&sharded, &query, 1e3, 4);
+        assert_eq!((probes.len(), workers), (2, 4));
+        let (probes, workers) = probe(&sharded, &query, 1e3, 2);
+        assert_eq!((probes.len(), workers), (2, 2));
+        // `threads == 1` is a ceiling of one: never a split.
+        let (probes, workers) = probe(&sharded, &query, 1e3, 1);
+        assert_eq!((probes.len(), workers), (4, 1));
+        // Both regimes give the same answer and the same counters.
+        let base = sharded
+            .range_search_sharded(&query, 1e3, &EngineOpts::new())
+            .unwrap();
+        assert_eq!(base.merged.ids().len(), 512);
+        for threads in [2usize, 4] {
+            let opts = EngineOpts::new().threads(threads);
+            let got = sharded.range_search_sharded(&query, 1e3, &opts).unwrap();
+            assert_eq!(got.merged.matches, base.merged.matches, "threads={threads}");
+            assert!(got.merged.query_stats.counters_eq(&base.merged.query_stats));
+        }
+    }
+
+    #[test]
+    fn an_offline_index_is_priced_as_a_full_scan_and_degrades_alone() {
+        // 2 shards × 256 × 32 points. With shard 0's index offline, its
+        // LB-Scan of 256 sequences alone is 2 × 2¹⁷ estimated cells.
+        let data = corpus(512, 32);
+        let (store, flat) = unsharded(&data);
+        let mut sharded = ShardedSearch::build_in_memory(&data, 256, None).unwrap();
+        sharded.shards[0].engine = ResilientSearch::from_index_file("/nonexistent.rtree", None);
+        let query = walk(78, 32);
+        let (probes, workers) = probe(&sharded, &query, 0.0, 2);
+        assert_eq!((probes.len(), workers), (1, 2));
+        for eps in [0.0, 2.0] {
+            let expect = flat
+                .range_search(&store, &query, eps, &EngineOpts::new())
+                .unwrap();
+            for threads in [1usize, 2, 4] {
+                let opts = EngineOpts::new().threads(threads);
+                let got = sharded.range_search_sharded(&query, eps, &opts).unwrap();
+                assert_eq!(
+                    got.merged.ids(),
+                    expect.ids(),
+                    "eps={eps} threads={threads}"
+                );
+                assert!(got.per_shard[0].health.is_degraded());
+                assert!(!got.per_shard[1].health.is_degraded());
+                assert!(got.merged.health.to_string().contains("shard 0"));
+                assert!(got.merged.query_stats.accounting_balanced());
+            }
+        }
+    }
+
+    #[test]
+    fn shards_probed_before_a_trip_ledger_their_proposals_as_skipped() {
+        // Inline regime: all six shards are filtered before any refines, and
+        // a one-cell budget trips in shard 0's first DP. Every later shard's
+        // proposals — counted by its filter — are skipped, none fetched.
+        let data = corpus(60, 16);
+        let sharded = ShardedSearch::build_in_memory(&data, 10, None).unwrap();
+        let opts = EngineOpts::new()
+            .threads(2)
+            .budget(QueryBudget::new().max_cells(1));
+        let out = sharded
+            .range_search_sharded(&walk(5, 16), 1e3, &opts)
+            .unwrap();
+        assert_eq!(
+            out.merged.termination,
+            Termination::BudgetExhausted {
+                which: crate::govern::BudgetKind::DtwCells
+            }
+        );
+        assert!(out.merged.query_stats.accounting_balanced());
+        for (i, shard) in out.per_shard.iter().enumerate().skip(1) {
+            let qs = &shard.query_stats;
+            assert_eq!(qs.candidates, 10, "shard {i}");
+            assert_eq!(qs.skipped_unverified, qs.candidates, "shard {i}");
+            assert!(qs.index_node_accesses() > 0, "shard {i}");
+            assert_eq!(qs.pager_reads + qs.verified + qs.abandoned, 0, "shard {i}");
         }
     }
 

@@ -11,6 +11,11 @@
 //!    contains every true answer;
 //! 3. read each candidate sequence and verify with the exact (early-
 //!    abandoned) time-warping distance.
+//!
+//! Steps 1–2 are [`TwSimSearch::filter`] and step 3 is [`Filtered::refine`];
+//! `range_search` runs one after the other. A caller that must size the
+//! refine work before starting it — the shard fan-out deciding whether a
+//! query pays for a thread — runs the two halves itself.
 
 use std::path::Path;
 
@@ -19,7 +24,7 @@ use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::error::{validate_query, validate_tolerance, TwError};
 use crate::feature::FeatureVector;
-use crate::govern::termination_of;
+use crate::govern::{termination_of, CancelToken};
 use crate::search::verify::VerifyJob;
 use crate::search::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats};
 use crate::stats::{wall_now, Phase, PipelineCounters};
@@ -160,61 +165,89 @@ impl TwSimSearch {
     pub fn tree(&self) -> &RTree<4> {
         &self.tree
     }
+
+    /// Steps 1–2 of Algorithm 1: validates the query, arms its budget and
+    /// runs the square range query. The index counters, the proposals and
+    /// the `Phase::Filter` time go into the returned [`Filtered`], which
+    /// [`Filtered::refine`] finishes.
+    pub(crate) fn filter(
+        &self,
+        query: &[f64],
+        epsilon: f64,
+        opts: &EngineOpts,
+    ) -> Result<Filtered, TwError> {
+        validate_tolerance(epsilon)?;
+        validate_query(query)?;
+        let token = opts.arm_budget();
+        let counters = PipelineCounters::new();
+        let range = counters.time(Phase::Filter, || {
+            let feature_q = FeatureVector::from_values(query).as_point();
+            self.tree.range_centered(&feature_q, epsilon)
+        });
+        counters.add_index_internal(range.stats.internal_accesses);
+        counters.add_index_leaf(range.stats.leaf_accesses);
+        counters.add_candidates(range.ids.len() as u64);
+        Ok(Filtered {
+            ids: range.ids,
+            index_node_accesses: range.stats.node_accesses(),
+            counters,
+            token,
+        })
+    }
 }
 
-impl<P: Pager> SearchEngine<P> for TwSimSearch {
-    fn name(&self) -> &str {
-        "tw-sim-search"
+/// One query's filtered state between the two halves of Algorithm 1: the
+/// R-tree's proposals, the query's armed token and the counters the tree
+/// walk charged.
+#[derive(Debug)]
+pub(crate) struct Filtered {
+    ids: Vec<SeqId>,
+    index_node_accesses: u64,
+    counters: PipelineCounters,
+    token: CancelToken,
+}
+
+impl Filtered {
+    /// How many sequences the index proposed.
+    pub(crate) fn proposed(&self) -> usize {
+        self.ids.len()
     }
 
-    /// Algorithm 1. [`VerifyMode::Banded`] in the options verifies
-    /// candidates under a Sakoe–Chiba band (an extension beyond the paper,
-    /// standard in post-2002 DTW systems). The banded distance upper-bounds
-    /// the unconstrained one, so the filter remains sound *for the banded
-    /// distance*: the result is exactly the set
-    /// `{S : D_tw^banded(S, Q) <= ε}` — a subset of the unconstrained
-    /// answer, computed with far fewer DP cells. The band-width trade-off is
-    /// measured by the harness ablations.
-    fn range_search(
-        &self,
+    /// Step 3 of Algorithm 1: fetches every proposal, runs the cascade (if
+    /// armed) and verifies through the shared pipeline. `query`, `epsilon`
+    /// and `opts` must be the ones the filter ran with.
+    pub(crate) fn refine<P: Pager>(
+        self,
         store: &SequenceStore<P>,
         query: &[f64],
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
         let started = wall_now();
-        let token = opts.arm_budget();
+        let Filtered {
+            ids,
+            index_node_accesses,
+            counters,
+            token,
+        } = self;
         let _governed = store.govern_scope(&token);
         store.take_io();
         let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
         let mut stats = SearchStats {
             db_size: store.len(),
+            candidates: ids.len(),
+            index_node_accesses,
             ..Default::default()
         };
 
-        // Step 1-2: feature extraction + square range query.
-        let range = counters.time(Phase::Filter, || {
-            let feature_q = FeatureVector::from_values(query).as_point();
-            self.tree.range_centered(&feature_q, epsilon)
-        });
-        stats.index_node_accesses = range.stats.node_accesses();
-        counters.add_index_internal(range.stats.internal_accesses);
-        counters.add_index_leaf(range.stats.leaf_accesses);
-
-        // Step 3-7: read candidates, verify through the shared pipeline.
         // Without a cascade the index filter *is* the candidate set: nothing
         // is pruned after it, so candidates == verified + abandoned in the
         // accounting. With one, the cascade's tiers take a further cut,
         // counted per tier.
-        stats.candidates = range.ids.len();
-        counters.add_candidates(range.ids.len() as u64);
-        let proposed = range.ids.len() as u64;
+        let proposed = ids.len() as u64;
         let candidates = counters.time(Phase::Fetch, || {
-            let mut candidates = Vec::with_capacity(range.ids.len());
-            for id in range.ids {
+            let mut candidates = Vec::with_capacity(ids.len());
+            for id in ids {
                 // A tripped budget stops the fetch: unread proposals are
                 // ledgered as skipped below.
                 if token.cancelled() {
@@ -237,15 +270,42 @@ impl<P: Pager> SearchEngine<P> for TwSimSearch {
         stats.io = store.take_io();
         counters.add_pager_reads(stats.io.total_pages());
         counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        stats.cpu_time = started.elapsed();
+        let query_stats = counters.snapshot();
+        // The filter's own time is its phase timer; the rest is this call.
+        stats.cpu_time = query_stats.phases.filter + started.elapsed();
         Ok(SearchOutcome {
             matches,
             stats,
             plan: None,
             health: EngineHealth::Healthy,
-            query_stats: counters.snapshot(),
+            query_stats,
             termination: termination_of(&token),
         })
+    }
+}
+
+impl<P: Pager> SearchEngine<P> for TwSimSearch {
+    fn name(&self) -> &str {
+        "tw-sim-search"
+    }
+
+    /// Algorithm 1. [`VerifyMode::Banded`] in the options verifies
+    /// candidates under a Sakoe–Chiba band (an extension beyond the paper,
+    /// standard in post-2002 DTW systems). The banded distance upper-bounds
+    /// the unconstrained one, so the filter remains sound *for the banded
+    /// distance*: the result is exactly the set
+    /// `{S : D_tw^banded(S, Q) <= ε}` — a subset of the unconstrained
+    /// answer, computed with far fewer DP cells. The band-width trade-off is
+    /// measured by the harness ablations.
+    fn range_search(
+        &self,
+        store: &SequenceStore<P>,
+        query: &[f64],
+        epsilon: f64,
+        opts: &EngineOpts,
+    ) -> Result<SearchOutcome, TwError> {
+        self.filter(query, epsilon, opts)?
+            .refine(store, query, epsilon, opts)
     }
 }
 

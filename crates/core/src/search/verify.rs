@@ -17,6 +17,12 @@
 //! ([`dtw_decide_lanes`]): [`LANES`] equal-length candidates per DP sweep,
 //! leftovers one by one, thread chunks cut on batch boundaries.
 //!
+//! Threads are spent only where the DP pays for them: `threads` is a
+//! ceiling, and [`workers_for`] turns the job's estimated cell count
+//! (Σ|cᵢ|·|Q|) into the number of chunks actually run. A job below
+//! [`MIN_CELLS_PER_WORKER`] cells per extra worker stays on the calling
+//! thread.
+//!
 //! Determinism: candidates are verified independently (pruning, early
 //! abandoning and the cell ledger are per-candidate, so `dtw_cells` does
 //! not depend on thread count, order or batch composition) and the merged
@@ -30,6 +36,27 @@ use crate::distance::{dtw_banded_governed, dtw_decide_lanes, DtwKind, DtwOutcome
 use crate::govern::CancelToken;
 use crate::search::{Match, SearchStats, VerifyMode};
 use crate::stats::{Phase, PipelineCounters};
+
+/// The DP cells one extra worker thread must bring before it is worth
+/// starting.
+///
+/// A scoped spawn + join costs ≈ 49 µs: the per-op gap between the 7-shard
+/// `selective-warm` range query at `threads` 2 (0.081 ms) and 1
+/// (0.033 ms) on a 2-core x86-64 VM, a fan-out whose DP work is a few
+/// hundred cells. In those 49 µs the lane kernel sweeps ≈ 2.4 Gcells/s ×
+/// 49 µs ≈ 118 k cells, rounded up here to 2¹⁷. Below that a worker costs
+/// more than the work it takes off the calling thread. This is the one
+/// gate on every range-query split; it is a derived constant, not a knob.
+pub(crate) const MIN_CELLS_PER_WORKER: u64 = 1 << 17;
+
+/// How many threads `cells` of estimated DP work pays for:
+/// `cells / MIN_CELLS_PER_WORKER`, at least 1 and never above `ceiling`
+/// (the caller's `EngineOpts::threads`).
+pub(crate) fn workers_for(cells: u64, ceiling: usize) -> usize {
+    usize::try_from(cells / MIN_CELLS_PER_WORKER)
+        .unwrap_or(usize::MAX)
+        .clamp(1, ceiling.max(1))
+}
 
 /// One verification request: the query-side parameters every chunk worker
 /// needs, plus the optional per-query [`BoundCascade`].
@@ -86,7 +113,8 @@ impl<'a> VerifyJob<'a> {
     }
 
     /// Verifies pre-read candidate sequences against the query, fanning the
-    /// DTW work out over the job's worker count.
+    /// DTW work out over as many of the job's `threads` as its estimated
+    /// cell count pays for (one worker per 2¹⁷ estimated cells).
     ///
     /// Returns the qualifying matches sorted by ascending [`SeqId`] and a
     /// [`SearchStats`] carrying only the verification counters
@@ -113,12 +141,7 @@ impl<'a> VerifyJob<'a> {
         token: &CancelToken,
     ) -> (Vec<Match>, SearchStats) {
         counters.time(Phase::Verify, || {
-            // Chunks are whole lane batches, so splitting the work never
-            // turns a full batch into leftovers.
-            let chunk = candidates
-                .len()
-                .div_ceil(self.threads)
-                .next_multiple_of(LANES);
+            let chunk = self.chunk_len(candidates);
             let (mut matches, stats) = if candidates.len() <= chunk {
                 self.verify_chunk(candidates, counters, token)
             } else {
@@ -143,6 +166,23 @@ impl<'a> VerifyJob<'a> {
             matches.sort_by_key(|m| m.id);
             (matches, stats)
         })
+    }
+
+    /// Candidates per worker chunk. The job's upper-bound cell estimate,
+    /// Σ|cᵢ|·|Q| before any pruning or abandoning, sets the worker count;
+    /// chunks are whole lane batches, so splitting the work never turns a
+    /// full batch into leftovers. One chunk covering every candidate means
+    /// the job runs on the calling thread.
+    fn chunk_len(&self, candidates: &[(SeqId, Vec<f64>)]) -> usize {
+        let cells = candidates
+            .iter()
+            .map(|(_, values)| values.len() as u64)
+            .sum::<u64>()
+            .saturating_mul(self.query.len() as u64);
+        candidates
+            .len()
+            .div_ceil(workers_for(cells, self.threads))
+            .next_multiple_of(LANES)
     }
 
     /// Sequentially verifies one slice of candidates, publishing per-chunk
@@ -384,6 +424,115 @@ mod tests {
                 assert_eq!(snap.dtw_cells, stats.dtw_cells);
                 assert!(stats.dtw_cells <= full_stats.dtw_cells, "{what}");
             }
+        }
+    }
+
+    /// Each benchmark workload's range op, per shard and per op, as
+    /// `(what, proposals, |Q|, workers at a ceiling of 2)`: the estimate
+    /// the gate sees is `proposals × |Q|²`.
+    const WORKLOAD_SHAPES: [(&str, u64, u64, usize); 6] = [
+        // selective-warm: ≈ 1.7 candidates per op at |Q| = 64 (≈ 7 k).
+        ("selective-warm op", 2, 64, 1),
+        // ingest-query: the base range, ≈ 26 candidates at |Q| = 64.
+        ("ingest-query op", 26, 64, 1),
+        // verify-heavy: |Q| = 128, ≈ 47 proposals per shard of 4.
+        ("verify-heavy shard", 47, 128, 2),
+        ("verify-heavy op", 190, 128, 2),
+        // paged-cold: |Q| = 32, ≈ 350 proposals per shard of 8.
+        ("paged-cold shard", 350, 32, 2),
+        ("paged-cold op", 2_830, 32, 2),
+    ];
+
+    #[test]
+    fn workers_for_pins_each_workload_regime() {
+        for (what, proposals, q, expect) in WORKLOAD_SHAPES {
+            let cells = proposals * q * q;
+            assert_eq!(workers_for(cells, 2), expect, "{what}: {cells} cells");
+            assert_eq!(workers_for(cells, 1), 1, "{what}");
+        }
+        // The gate itself: one worker up to twice the threshold.
+        assert_eq!(workers_for(2 * MIN_CELLS_PER_WORKER - 1, 8), 1);
+        assert_eq!(workers_for(2 * MIN_CELLS_PER_WORKER, 8), 2);
+        for ceiling in 1..=8usize {
+            for cells in [0, 1, MIN_CELLS_PER_WORKER, 1 << 20, 1 << 30, u64::MAX] {
+                let w = workers_for(cells, ceiling);
+                assert!(
+                    (1..=ceiling).contains(&w),
+                    "cells={cells} ceiling={ceiling}"
+                );
+            }
+        }
+        assert_eq!(workers_for(u64::MAX, 0), 1, "a zero ceiling still runs");
+    }
+
+    /// 96 candidates of 64 points against a 64-point query: 393 k
+    /// estimated cells, enough for three workers.
+    fn gate_crossing_candidates() -> (Vec<(SeqId, Vec<f64>)>, Vec<f64>) {
+        let cands = (0..96u64)
+            .map(|i| {
+                let values = (0..64u64)
+                    .map(|j| ((i * 7 + j) % 13) as f64 * 0.1 + (i % 5) as f64)
+                    .collect();
+                (i, values)
+            })
+            .collect();
+        let query = (0..64u64).map(|j| (j % 13) as f64 * 0.1 + 2.0).collect();
+        (cands, query)
+    }
+
+    #[test]
+    fn chunks_follow_the_estimated_cells_not_the_thread_count() {
+        let job = |threads| {
+            VerifyJob::new(
+                &MIXED_QUERY,
+                0.9,
+                DtwKind::MaxAbs,
+                VerifyMode::Exact,
+                threads,
+            )
+        };
+        // A few thousand cells stay in one chunk at any thread count.
+        let small = mixed_candidates();
+        for threads in [1usize, 2, 4, 16] {
+            assert!(
+                job(threads).chunk_len(&small) >= small.len(),
+                "threads={threads}"
+            );
+        }
+        // Past the gate, the split is the cheaper of the ceiling and what
+        // the cells pay for, in whole lane batches.
+        let (big, query) = gate_crossing_candidates();
+        let job =
+            |threads| VerifyJob::new(&query, 0.9, DtwKind::MaxAbs, VerifyMode::Exact, threads);
+        assert_eq!(job(1).chunk_len(&big), 96);
+        assert_eq!(job(2).chunk_len(&big), 48);
+        assert_eq!(job(16).chunk_len(&big), 32);
+        assert_eq!(job(16).chunk_len(&[]), 0);
+    }
+
+    #[test]
+    fn gate_crossing_job_is_thread_count_invariant() {
+        let (cands, query) = gate_crossing_candidates();
+        let run = |threads| {
+            let counters = PipelineCounters::new();
+            let (m, s) = verify_candidates(
+                &cands,
+                &query,
+                2.0,
+                DtwKind::MaxAbs,
+                VerifyMode::Exact,
+                threads,
+                &counters,
+            );
+            (m, s, counters.snapshot())
+        };
+        let (base_m, base_s, base_c) = run(1);
+        assert!(!base_m.is_empty() && base_m.len() < cands.len());
+        for threads in [2usize, 4] {
+            let (m, s, c) = run(threads);
+            assert_eq!(m, base_m, "threads={threads}");
+            assert_eq!(s.dtw_cells, base_s.dtw_cells);
+            assert!(c.counters_eq(&base_c), "threads={threads}");
         }
     }
 

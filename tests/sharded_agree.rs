@@ -139,6 +139,31 @@ fn sharded_agreement_holds_on_the_paper_workload() {
 }
 
 #[test]
+fn sharded_agreement_holds_past_the_work_gate() {
+    // The cells above stay under the fan-out's work gate (2¹⁷ estimated
+    // DP cells per worker), so they only reach the inline path. Here ε
+    // proposes most of 512 × 32-point walks: ≥ 256 proposals × 32² cells
+    // crosses the gate, and the chunked fan-out and split verification
+    // run at threads 2 and 4.
+    let data = generate_random_walks(&RandomWalkConfig::paper(512, 32), 20010402);
+    let queries = generate_queries(&data, 2, 43);
+    let eps = 4.0;
+    let store = store_with(&data);
+    let flat = TwSimSearch::build(&store).expect("build unsharded index");
+    for q in &queries {
+        let out = flat
+            .range_search(&store, q, eps, &EngineOpts::new())
+            .expect("unsharded range");
+        assert!(
+            out.query_stats.candidates >= 256,
+            "only {} proposals: the gate is not crossed",
+            out.query_stats.candidates
+        );
+    }
+    assert_sharded_agrees(&data, &queries, &[eps], &[3]);
+}
+
+#[test]
 fn duplicates_across_the_k_boundary_are_cut_by_id_everywhere() {
     // Twelve distinct walks, each stored four times at ids i, i+12, i+24,
     // i+36 — so the copies land in different shards and every k that is not
