@@ -1,6 +1,6 @@
 //! # tw-bench — the experiment harness reproducing the paper's figures
 //!
-//! Shared machinery for the `experiments` binary and the criterion benches:
+//! Shared machinery for the `experiments` binary:
 //! data-set construction, per-method query batches, aggregated metrics, and
 //! table/CSV output. Every figure of the paper maps to one function here
 //! (see DESIGN.md's per-experiment index).

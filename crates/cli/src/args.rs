@@ -34,12 +34,6 @@ pub enum Command {
         /// DTW-cell budget; refinement stops once this much work is spent.
         max_cells: Option<u64>,
     },
-    Bench {
-        db: PathBuf,
-        epsilon: f64,
-        queries: usize,
-        seed: u64,
-    },
     Align {
         db: PathBuf,
         a: u64,
@@ -155,7 +149,6 @@ USAGE:
   twsearch index    --db DB --out INDEX
   twsearch info     --db DB [--index INDEX]
   twsearch query    --db DB [--index INDEX] --eps E (--values v1,v2,... | --from-id N) [--knn K] [--stats] [--deadline-ms MS] [--max-cells N]
-  twsearch bench    --db DB --eps E [--queries N] [--seed S]
   twsearch align    --db DB --a ID --b ID
   twsearch subseq   --db DB --eps E --values v1,v2,... [--min-len N] [--max-len N]
   twsearch verify-store --db DB [--index INDEX] [--wal WAL]
@@ -565,26 +558,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             flags.finish()?;
             Ok(Command::Align { db, a, b })
         }
-        "bench" => {
-            let mut flags = Flags::parse(rest)?;
-            let db = PathBuf::from(flags.require("db")?);
-            let epsilon = parse_num("eps", &flags.require("eps")?)?;
-            let queries = match flags.take("queries") {
-                Some(raw) => parse_num("queries", &raw)?,
-                None => 10,
-            };
-            let seed = match flags.take("seed") {
-                Some(raw) => parse_num("seed", &raw)?,
-                None => 7,
-            };
-            flags.finish()?;
-            Ok(Command::Bench {
-                db,
-                epsilon,
-                queries,
-                seed,
-            })
-        }
         other => Err(ParseError(format!("unknown command '{other}'\n{USAGE}"))),
     }
 }
@@ -949,19 +922,5 @@ mod tests {
         assert!(parse(&argv("net-query --addr a:1 --eps 1 --knn 2 --values 1")).is_err());
         assert!(parse(&argv("net-query --addr a:1 --knn 0 --values 1")).is_err());
         assert!(parse(&argv("net-query --addr a:1 --eps -1 --values 1")).is_err());
-    }
-
-    #[test]
-    fn bench_defaults() {
-        let cmd = parse(&argv("bench --db d --eps 0.2")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                db: "d".into(),
-                epsilon: 0.2,
-                queries: 10,
-                seed: 7,
-            }
-        );
     }
 }

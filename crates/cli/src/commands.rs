@@ -11,7 +11,7 @@ use std::time::Duration;
 use tw_core::distance::DtwKind;
 use tw_core::govern::{QueryBudget, Termination};
 use tw_core::search::{
-    CorpusSharder, EngineHealth, EngineOpts, LbScan, NaiveScan, ResilientSearch, SearchEngine,
+    CorpusSharder, EngineHealth, EngineOpts, NaiveScan, ResilientSearch, SearchEngine,
     ShardedSearch, SubsequenceIndex, TwSimSearch, WindowSpec,
 };
 use tw_core::{IngestHandle, SharedConcurrentIngest, TwError};
@@ -22,11 +22,11 @@ use tw_net::{
 use tw_rtree::{read_tree_file, RTree};
 use tw_storage::{
     create_sequence_file, manifest_path, open_sequence_file, open_wal_file, DynSequenceStore,
-    HardwareModel, Pager, RecordFormat, RecoveryReport, SegmentPager, SyncPager, WalRecord,
+    RecordFormat, RecoveryReport, SegmentPager, SyncPager, WalRecord,
 };
 use tw_workload::{
-    cbf_dataset, generate_queries, generate_random_walks, generate_stocks, normalize_to_unit_range,
-    RandomWalkConfig, StockConfig,
+    cbf_dataset, generate_random_walks, generate_stocks, normalize_to_unit_range, RandomWalkConfig,
+    StockConfig,
 };
 
 use crate::args::{Command, DataKind, QuerySource, USAGE};
@@ -67,6 +67,10 @@ fn warn_recovery(report: &RecoveryReport, out: &mut dyn Write) -> Result<(), Cli
     Ok(())
 }
 
+/// Buffer-pool frames each shard of a sharded corpus gets when `query` or
+/// `serve` opens it.
+const SHARD_POOL_PAGES: usize = 64;
+
 fn load_index(path: &Path) -> Result<RTree<4>, CliError> {
     read_tree_file(path).map_err(fail(&format!("read index {}", path.display())))
 }
@@ -105,12 +109,6 @@ pub fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
             };
             query(&db, index.as_deref(), epsilon, source, &budget, out)
         }
-        Command::Bench {
-            db,
-            epsilon,
-            queries,
-            seed,
-        } => bench(&db, epsilon, queries, seed, out),
         Command::Align { db, a, b } => align(&db, a, b, out),
         Command::Subseq {
             db,
@@ -346,7 +344,7 @@ impl EngineService {
     /// returns a one-line description for the startup banner.
     fn open(db: &Path, index: Option<&Path>) -> Result<(Self, String), CliError> {
         if manifest_path(db).is_file() {
-            let (sharded, reports) = ShardedSearch::open_dir(db, 64)
+            let (sharded, reports) = ShardedSearch::open_dir(db, SHARD_POOL_PAGES)
                 .map_err(fail(&format!("open sharded corpus {}", db.display())))?;
             let recovered = reports.iter().filter(|r| !r.is_clean()).count();
             let mut describe = format!(
@@ -1075,7 +1073,7 @@ fn query_sharded(
     options: &QueryOptions,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let (sharded, reports) = ShardedSearch::open_dir(dir, 64)
+    let (sharded, reports) = ShardedSearch::open_dir(dir, SHARD_POOL_PAGES)
         .map_err(fail(&format!("open sharded corpus {}", dir.display())))?;
     for (i, report) in reports.iter().enumerate() {
         if !report.is_clean() {
@@ -1119,6 +1117,15 @@ fn query_sharded(
     }
     if options.stats {
         write_query_stats(&outcome.merged.query_stats, out)?;
+        // More misses than frames means the corpus was read from disk, not
+        // served from memory: the out-of-core witness.
+        writeln!(
+            out,
+            "pool misses {} / resident frames {}",
+            sharded.pool_misses(),
+            sharded.shard_count() * SHARD_POOL_PAGES
+        )
+        .map_err(fail("write"))?;
     }
     if let Some(k) = options.knn {
         let knn_out = sharded
@@ -1205,49 +1212,6 @@ fn query(
         for n in &knn_out.matches {
             writeln!(out, "  id {:>6}  distance {:.4}", n.id, n.distance).map_err(fail("write"))?;
         }
-    }
-    Ok(())
-}
-
-fn bench(
-    db: &Path,
-    epsilon: f64,
-    queries: usize,
-    seed: u64,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let (store, _) = open_store(db)?;
-    let data = store.scan().map_err(fail("scan"))?;
-    let raw: Vec<Vec<f64>> = data.into_iter().map(|(_, v)| v).collect();
-    if raw.is_empty() {
-        return Err(CliError("database is empty".into()));
-    }
-    let query_set = generate_queries(&raw, queries, seed);
-    let engine = TwSimSearch::build(&store).map_err(fail("build index"))?;
-    let hw = HardwareModel::icde2001();
-    let opts = EngineOpts::new().kind(DtwKind::MaxAbs);
-
-    let engines: [&dyn SearchEngine<Box<dyn Pager>>; 3] = [&NaiveScan, &LbScan, &engine];
-    for e in engines {
-        let mut stats = tw_core::SearchStats::default();
-        let mut matches = 0usize;
-        for q in &query_set {
-            let r = e
-                .range_search(&store, q, epsilon, &opts)
-                .map_err(fail(e.name()))?;
-            matches += r.matches.len();
-            stats.accumulate(&r.stats);
-        }
-        writeln!(
-            out,
-            "{:>14}: {:.1} matches/query, {:.2}% candidates, cpu {:.1} ms, modeled {:.1} ms",
-            e.name(),
-            matches as f64 / query_set.len() as f64,
-            100.0 * stats.candidate_ratio() / query_set.len() as f64,
-            stats.cpu_time.as_secs_f64() * 1000.0 / query_set.len() as f64,
-            stats.modeled_elapsed(&hw).as_secs_f64() * 1000.0 / query_set.len() as f64,
-        )
-        .map_err(fail("write"))?;
     }
     Ok(())
 }
@@ -1435,26 +1399,6 @@ mod tests {
         .expect("query");
         assert!(out.contains("top-3 nearest:"));
         assert!(out.matches("distance").count() >= 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_reports_three_methods() {
-        let dir = temp("bench");
-        let db = dir.join("db.tws");
-        run_str(&format!(
-            "generate --kind stock --count 40 --len 30 --seed 3 --out {}",
-            db.display()
-        ))
-        .expect("generate");
-        let out = run_str(&format!(
-            "bench --db {} --eps 0.1 --queries 3",
-            db.display()
-        ))
-        .expect("bench");
-        assert!(out.contains("naive-scan"));
-        assert!(out.contains("lb-scan"));
-        assert!(out.contains("tw-sim-search"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1711,6 +1655,8 @@ mod tests {
             strict.contains("partial results") && strict.contains("budget-exhausted(dtw-cells)"),
             "{strict}"
         );
+        // 3 shards × 64 pool frames each.
+        assert!(strict.contains("resident frames 192"), "{strict}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1817,6 +1763,109 @@ mod tests {
         assert!(served.contains("listening on"), "{served}");
         assert!(served.contains("ledger balanced"), "{served}");
         assert!(served.contains("3 response(s)"), "{served}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_clients_balance_both_ledgers() {
+        let dir = temp("clients");
+        let corpus = dir.join("corpus");
+        run_str(&format!(
+            "ingest --db {} --shards 3 --count 96 --len 32 --seed 42",
+            corpus.display()
+        ))
+        .expect("sharded ingest");
+        let (service, _) = EngineService::open(&corpus, None).expect("open corpus");
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(service),
+            ServerConfig {
+                default_qos: TenantQos {
+                    max_concurrent: 4,
+                    max_queued: 16,
+                },
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+
+        // Eight clients, each querying with a stored sequence so every
+        // request has at least one candidate to verify. Every 4th request
+        // is a kNN, every 3rd carries a 50-cell cap: far below one 32 × 32
+        // DP, so it must come back as a typed partial, never an error.
+        const CLIENTS: usize = 8;
+        const REQUESTS: usize = 9;
+        let queries = generate_data(DataKind::Walk, CLIENTS, 32, 42);
+        let tallies: Vec<[u64; 4]> = std::thread::scope(|scope| {
+            let handles: Vec<_> = queries
+                .iter()
+                .enumerate()
+                .map(|(index, query)| {
+                    let addr = &addr;
+                    scope.spawn(move || {
+                        // [complete, partial, shed, error]
+                        let mut tally = [0u64; 4];
+                        let clock = Arc::new(tw_core::SystemClock::new());
+                        let mut client =
+                            Client::connect(addr, clock, ClientConfig::default()).expect("connect");
+                        for request in 0..REQUESTS {
+                            let kind = if (index + request) % 4 == 3 {
+                                QueryKind::Knn { k: 3 }
+                            } else {
+                                QueryKind::Range { epsilon: 2.0 }
+                            };
+                            let budget = if request % 3 == 2 {
+                                WireBudget {
+                                    max_cells: 50,
+                                    ..WireBudget::default()
+                                }
+                            } else {
+                                WireBudget {
+                                    deadline_ms: 30_000,
+                                    ..WireBudget::default()
+                                }
+                            };
+                            let request = QueryRequest {
+                                tenant: 0,
+                                budget,
+                                kind,
+                                values: query.clone(),
+                            };
+                            match client.call(&request).expect("transport") {
+                                Reply::Outcome(r) if r.termination.is_complete() => tally[0] += 1,
+                                Reply::Outcome(_) => tally[1] += 1,
+                                Reply::Shed(_) => tally[2] += 1,
+                                Reply::Error(_) => tally[3] += 1,
+                            }
+                        }
+                        tally
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        let drain = server.drain();
+
+        let total = |i: usize| tallies.iter().map(|t| t[i]).sum::<u64>();
+        assert_eq!(total(3), 0, "server errors");
+        assert_eq!(
+            total(0) + total(1) + total(2),
+            (CLIENTS * REQUESTS) as u64,
+            "every request answered"
+        );
+        assert!(total(1) > 0, "cell-capped requests must yield partials");
+        assert_eq!(drain.server.bad_frames, 0, "{:?}", drain.server);
+        assert_eq!(drain.server.handler_panics, 0, "{:?}", drain.server);
+        assert!(drain.server.ledger_balanced(), "{:?}", drain.server);
+        assert!(
+            drain.aggregate.accounting_balanced(),
+            "{:?}",
+            drain.aggregate
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

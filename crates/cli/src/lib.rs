@@ -7,7 +7,6 @@
 //! twsearch index    --db DB --out INDEX
 //! twsearch info     --db DB [--index INDEX]
 //! twsearch query    --db DB [--index INDEX] --eps E (--values CSV | --from-id N) [--knn K]
-//! twsearch bench    --db DB --eps E [--queries N]
 //! ```
 //!
 //! The database file is a `tw-storage` paged sequence store (1 KB pages);

@@ -487,11 +487,11 @@ impl BoundCascade {
 }
 
 /// Lemire's LB_Improved as a free function for equal-length sequences under
-/// a Sakoe–Chiba half-width `w` (compare [`crate::lb_keogh`]): Keogh's
+/// a Sakoe–Chiba half-width `w` (compare [`KeoghBound`]): Keogh's
 /// charge of `s` against the envelope of `q`, plus the charge of `q`
 /// against the envelope of `h`, the projection of `s` onto `q`'s envelope.
 /// Lower-bounds the banded distance of the same width, and dominates
-/// `lb_keogh` by construction.
+/// Keogh's bound by construction.
 ///
 /// # Panics
 /// Panics when lengths differ.
@@ -557,12 +557,7 @@ fn min_max(v: &[f64]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// The paper's `D_tw-lb` over raw values (both sides non-empty).
-pub(crate) fn kim_value(s: &[f64], q: &[f64]) -> f64 {
-    FeatureVector::from_values(s).lb_distance(&FeatureVector::from_values(q))
-}
-
-/// Yi et al.'s bound for the given recurrence (see [`crate::lb_yi`]).
+/// Yi et al.'s bound for the given recurrence (see [`YiBound`]).
 pub(crate) fn yi_value(s: &[f64], q: &[f64], kind: DtwKind) -> f64 {
     let (q_min, q_max) = min_max(q);
     let (s_min, s_max) = min_max(s);
@@ -585,12 +580,6 @@ pub(crate) fn yi_value(s: &[f64], q: &[f64], kind: DtwKind) -> f64 {
             from_s.max(from_q)
         }
     }
-}
-
-/// Keogh's envelope bound given a prebuilt envelope of `q` (see
-/// [`crate::lb_keogh`] for the contract).
-pub(crate) fn keogh_value(s: &[f64], lower: &[f64], upper: &[f64], kind: DtwKind) -> f64 {
-    finish(kind, charge_raw(s, lower, upper, kind))
 }
 
 /// The two-pass LB_Improved core: pass 1 charges `s` against `q`'s
@@ -645,6 +634,52 @@ mod tests {
             .collect()
     }
 
+    /// One tier's bound on `s` against `q`, evaluated as the cascade does.
+    fn bound_of(tier: BoundTier, s: &[f64], q: &[f64], kind: DtwKind, band: Option<usize>) -> f64 {
+        let candidate = Candidate {
+            id: 0,
+            values: s,
+            precomputed: None,
+        };
+        tier.bound()
+            .evaluate(&PreparedQuery::new(q, kind, band), &candidate)
+            .expect("the tier applies")
+    }
+
+    #[test]
+    fn each_tier_pins_its_known_answers() {
+        let kim = |s: &[f64], q: &[f64]| bound_of(BoundTier::Kim, s, q, DtwKind::MaxAbs, None);
+        let yi = |s: &[f64], q: &[f64], kind| bound_of(BoundTier::Yi, s, q, kind, None);
+        // Kim, case 1 of Theorem 1's proof: disjoint ranges. Every feature
+        // gap is 10, and so is the distance.
+        let (s, q) = ([10.0, 11.0, 12.0], [0.0, 1.0, 2.0]);
+        assert_eq!(kim(&s, &q), 10.0);
+        assert_eq!(dtw(&s, &q, DtwKind::MaxAbs).distance, 10.0);
+        // Kim is blind to warping: a replicated pair has no feature gap.
+        let s = [20.0, 21.0, 21.0, 20.0, 20.0, 23.0, 23.0, 23.0];
+        assert_eq!(kim(&s, &[20.0, 20.0, 21.0, 20.0, 23.0]), 0.0);
+        // Yi sees only value ranges: coinciding ranges give zero, and one
+        // query element 0.75 below the candidate's range is charged alone.
+        let s = [1.0, 5.0, 3.0];
+        assert_eq!(yi(&s, &[1.5, 5.0, 1.0, 4.0], DtwKind::SumAbs), 0.0);
+        assert_eq!(yi(&s, &[1.5, 5.0, 1.0, 4.0], DtwKind::MaxAbs), 0.0);
+        assert_eq!(yi(&s, &[1.5, 5.0, 0.25, 4.0], DtwKind::SumAbs), 0.75);
+        // Two candidate elements 4 above the query's max: the sum counts
+        // both outliers, the max one.
+        let (s, q) = ([10.0, 10.0, 0.0], [0.0, 6.0]);
+        assert_eq!(yi(&s, &q, DtwKind::SumAbs), 8.0);
+        assert_eq!(yi(&s, &q, DtwKind::MaxAbs), 4.0);
+        // Shifted endpoints over equal ranges: Kim is strictly tighter.
+        let (s, q) = ([0.0, 5.0, 0.0], [5.0, 0.0, 5.0]);
+        assert_eq!(yi(&s, &q, DtwKind::MaxAbs), 0.0);
+        assert_eq!(kim(&s, &q), 5.0);
+        // Keogh at band width 0 is the pointwise distance.
+        let (s, q) = ([1.0, 2.0, 3.0], [1.5, 2.0, 2.0]);
+        let keogh = |kind| bound_of(BoundTier::Keogh, &s, &q, kind, Some(0));
+        assert_eq!(keogh(DtwKind::SumAbs), 1.5);
+        assert_eq!(keogh(DtwKind::MaxAbs), 1.0);
+    }
+
     #[test]
     fn lb_improved_dominates_lb_keogh_and_stays_under_banded_dtw() {
         for seed in 1..30u64 {
@@ -652,9 +687,8 @@ mod tests {
             let s = pseudo_random_seq(seed, n, 3.0);
             let q = pseudo_random_seq(seed * 31 + 7, n, 3.0);
             for w in [0usize, 2, 5, n] {
-                let (lower, upper) = lemire_envelope(&q, Some(w));
                 for kind in KINDS {
-                    let keogh = keogh_value(&s, &lower, &upper, kind);
+                    let keogh = bound_of(BoundTier::Keogh, &s, &q, kind, Some(w));
                     let improved = lb_improved(&s, &q, kind, w);
                     let d = dtw_banded(&s, &q, kind, w).distance;
                     assert!(

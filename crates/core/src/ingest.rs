@@ -381,7 +381,7 @@ impl<P: Pager> ConcurrentIngest<P> {
     }
 
     /// Bytes currently committed in the WAL (not yet truncated by a
-    /// checkpoint). Diagnostics and the bench harness's `ingest` arm.
+    /// checkpoint). Diagnostics and the benchmark's WAL-volume probe.
     pub fn wal_committed_bytes(&self) -> u64 {
         self.wal.lock().committed_bytes()
     }
@@ -736,7 +736,9 @@ mod tests {
             writer.append(values).unwrap();
         }
         let pinned = ingest.snapshot();
-        assert!(ingest.wal_committed_records() > 0);
+        // Each acknowledged append is two WAL records: the sequence and its
+        // feature.
+        assert_eq!(ingest.wal_committed_records(), 2 * 4);
 
         let report = writer.checkpoint().unwrap();
         assert_eq!(report.folded, 4);

@@ -14,8 +14,9 @@
 //!   recovery, and Sakoe–Chiba banded variants;
 //! * the warping-invariant **4-tuple feature vector**
 //!   ([`FeatureVector`]): `(First, Last, Greatest, Smallest)`;
-//! * **lower bounds** ([`lower_bound`]): the paper's `D_tw-lb` (LB_Kim),
-//!   Yi et al.'s scan bound (LB_Yi) and Keogh's envelope bound (LB_Keogh);
+//! * **lower bounds** ([`bound`]): the paper's `D_tw-lb` (LB_Kim),
+//!   Yi et al.'s scan bound (LB_Yi), Keogh's envelope bound (LB_Keogh) and
+//!   Lemire's LB_Improved, composed into one per-query [`BoundCascade`];
 //! * the four **search engines** of the paper's evaluation
 //!   ([`search`]): [`NaiveScan`], [`LbScan`], [`StFilterSearch`] and the
 //!   contribution, [`TwSimSearch`] — plus the approximate [`FastMapSearch`]
@@ -72,7 +73,6 @@ pub mod error;
 pub mod feature;
 pub mod govern;
 pub mod ingest;
-pub mod lower_bound;
 pub mod search;
 pub mod sequence;
 pub mod stats;
@@ -98,14 +98,12 @@ pub use ingest::{
     CheckpointReport, ConcurrentIngest, IngestHandle, IngestRecovery, SharedConcurrentIngest,
     Snapshot,
 };
-#[allow(deprecated)] // Re-exported for one release window; see `lower_bound`.
-pub use lower_bound::{lb_keogh, lb_kim, lb_yi};
 pub use search::{
-    false_dismissals, verify_candidates, CorpusSharder, EngineOpts, FastMapSearch, HybridPlan,
-    HybridSearch, KnnMatch, KnnOutcome, LbScan, Match, NaiveScan, SearchEngine, SearchOutcome,
-    SearchResult, SearchStats, ShardHandle, ShardedKnnOutcome, ShardedOutcome, ShardedSearch,
-    StFilterSearch, SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, TwSimSearch, VerifyJob,
-    VerifyMode, WindowSpec,
+    false_dismissals, CorpusSharder, EngineOpts, FastMapSearch, HybridPlan, HybridSearch, KnnMatch,
+    KnnOutcome, LbScan, Match, NaiveScan, SearchEngine, SearchOutcome, SearchResult, SearchStats,
+    ShardHandle, ShardedKnnOutcome, ShardedOutcome, ShardedSearch, StFilterSearch,
+    SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, TwSimSearch, VerifyJob, VerifyMode,
+    WindowSpec,
 };
 pub use sequence::Sequence;
 pub use stats::{Phase, PhaseTimes, PipelineCounters, QueryStats};

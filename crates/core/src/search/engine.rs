@@ -305,8 +305,8 @@ impl From<SearchResult> for SearchOutcome {
 /// An ε-range search engine over stores paged by `P`.
 ///
 /// Object-safe: heterogeneous engine sets run as
-/// `Vec<Box<dyn SearchEngine<P>>>` (how the CLI, the bench harness and the
-/// cross-engine agreement tests dispatch). All implementations answer
+/// `Vec<Box<dyn SearchEngine<P>>>` (how the CLI, the experiments binary and
+/// the cross-engine agreement tests dispatch). All implementations answer
 /// exactly (no false dismissals) except [`crate::search::FastMapSearch`],
 /// which is approximate by construction and says so in its docs.
 pub trait SearchEngine<P: Pager>: Send + Sync {
@@ -315,7 +315,7 @@ pub trait SearchEngine<P: Pager>: Send + Sync {
 
     /// Finds every stored sequence within `epsilon` of `query` under the
     /// options' distance kind, verifying candidates through the shared
-    /// pipeline ([`crate::search::verify_candidates`]).
+    /// pipeline ([`crate::search::VerifyJob`]).
     fn range_search(
         &self,
         store: &SequenceStore<P>,

@@ -31,7 +31,7 @@ pub use sharded::{CorpusSharder, ShardHandle, ShardedOutcome, ShardedSearch};
 pub use st_filter::StFilterSearch;
 pub use subsequence::{SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, WindowSpec};
 pub use tw_sim_search::{TwSimSearch, VerifyMode};
-pub use verify::{verify_candidates, verify_candidates_governed, VerifyJob};
+pub use verify::VerifyJob;
 
 use std::time::Duration;
 

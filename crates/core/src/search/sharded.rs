@@ -216,7 +216,7 @@ impl<S: Pager + Send> ShardedSearch<S> {
     }
 
     /// Sum of the shards' buffer-pool miss counters since their pools were
-    /// last reset — the out-of-core witness the large bench asserts on.
+    /// last reset — the out-of-core witness `query --stats` prints.
     pub fn pool_misses(&self) -> u64 {
         self.shards
             .iter()

@@ -407,9 +407,10 @@ mod tests {
         let query = vec![20.0, 21.0, 20.0, 23.0];
         let eps = 1.0;
         let res = run_search(&engine, &store, &query, eps, DtwKind::MaxAbs).unwrap();
+        let q = FeatureVector::from_values(&query);
         let expected: usize = data
             .iter()
-            .filter(|s| crate::bound::kim_value(s, &query) <= eps)
+            .filter(|s| FeatureVector::from_values(s).lb_distance(&q) <= eps)
             .count();
         assert_eq!(res.stats.candidates, expected);
     }

@@ -62,8 +62,7 @@ pub(crate) fn workers_for(cells: u64, ceiling: usize) -> usize {
 /// needs, plus the optional per-query [`BoundCascade`].
 ///
 /// Engines build the job from their [`crate::search::EngineOpts`] and call
-/// [`VerifyJob::run`]; the legacy free functions below remain as wrappers
-/// for cascade-less callers.
+/// [`VerifyJob::run`].
 pub struct VerifyJob<'a> {
     query: &'a [f64],
     epsilon: f64,
@@ -277,38 +276,6 @@ impl<'a> VerifyJob<'a> {
     }
 }
 
-/// Verifies candidates without a cascade or governor — see [`VerifyJob`].
-pub fn verify_candidates(
-    candidates: &[(SeqId, Vec<f64>)],
-    query: &[f64],
-    epsilon: f64,
-    kind: DtwKind,
-    verify: VerifyMode,
-    threads: usize,
-    counters: &PipelineCounters,
-) -> (Vec<Match>, SearchStats) {
-    VerifyJob::new(query, epsilon, kind, verify, threads).run(
-        candidates,
-        counters,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`verify_candidates`] under a query governor — see [`VerifyJob::run`].
-#[allow(clippy::too_many_arguments)] // Mirrors verify_candidates plus the token; cascade callers use VerifyJob directly.
-pub fn verify_candidates_governed(
-    candidates: &[(SeqId, Vec<f64>)],
-    query: &[f64],
-    epsilon: f64,
-    kind: DtwKind,
-    verify: VerifyMode,
-    threads: usize,
-    counters: &PipelineCounters,
-    token: &CancelToken,
-) -> (Vec<Match>, SearchStats) {
-    VerifyJob::new(query, epsilon, kind, verify, threads).run(candidates, counters, token)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,15 +315,8 @@ mod tests {
         for kind in [DtwKind::MaxAbs, DtwKind::SumAbs, DtwKind::SumSquared] {
             let run = |threads| {
                 let counters = PipelineCounters::new();
-                let (m, s) = verify_candidates(
-                    &cands,
-                    &MIXED_QUERY,
-                    0.9,
-                    kind,
-                    VerifyMode::Exact,
-                    threads,
-                    &counters,
-                );
+                let (m, s) = VerifyJob::new(&MIXED_QUERY, 0.9, kind, VerifyMode::Exact, threads)
+                    .run(&cands, &counters, &CancelToken::unlimited());
                 (m, s, counters.snapshot())
             };
             let (base_matches, base_stats, base_counters) = run(1);
@@ -384,15 +344,12 @@ mod tests {
     #[test]
     fn cell_budget_tripping_mid_batch_leaves_an_exact_balanced_subset() {
         let cands = mixed_candidates();
-        let (full, full_stats) = verify_candidates(
-            &cands,
-            &MIXED_QUERY,
-            0.9,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            1,
-            &PipelineCounters::new(),
-        );
+        let (full, full_stats) =
+            VerifyJob::new(&MIXED_QUERY, 0.9, DtwKind::MaxAbs, VerifyMode::Exact, 1).run(
+                &cands,
+                &PipelineCounters::new(),
+                &CancelToken::unlimited(),
+            );
         for threads in [1usize, 4] {
             // From the first sweep's first column to most of the way
             // through (abandoning columns are ledgered but not charged).
@@ -403,16 +360,14 @@ mod tests {
                         .build();
                 let counters = PipelineCounters::new();
                 counters.add_candidates(cands.len() as u64);
-                let (partial, stats) = verify_candidates_governed(
-                    &cands,
+                let (partial, stats) = VerifyJob::new(
                     &MIXED_QUERY,
                     0.9,
                     DtwKind::MaxAbs,
                     VerifyMode::Exact,
                     threads,
-                    &counters,
-                    &token,
-                );
+                )
+                .run(&cands, &counters, &token);
                 let what = format!("threads={threads} max_cells={max_cells}");
                 assert!(token.cancelled(), "{what}");
                 assert!(partial.iter().all(|m| full.contains(m)), "{what}");
@@ -515,15 +470,8 @@ mod tests {
         let (cands, query) = gate_crossing_candidates();
         let run = |threads| {
             let counters = PipelineCounters::new();
-            let (m, s) = verify_candidates(
-                &cands,
-                &query,
-                2.0,
-                DtwKind::MaxAbs,
-                VerifyMode::Exact,
-                threads,
-                &counters,
-            );
+            let (m, s) = VerifyJob::new(&query, 2.0, DtwKind::MaxAbs, VerifyMode::Exact, threads)
+                .run(&cands, &counters, &CancelToken::unlimited());
             (m, s, counters.snapshot())
         };
         let (base_m, base_s, base_c) = run(1);
@@ -541,14 +489,10 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let counters = PipelineCounters::new();
-        let (m, s) = verify_candidates(
+        let (m, s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
             &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            3,
             &counters,
+            &CancelToken::unlimited(),
         );
         let snap = counters.snapshot();
         // Every candidate either completed or abandoned.
@@ -566,15 +510,12 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let plain_counters = PipelineCounters::new();
-        let (plain, plain_stats) = verify_candidates(
-            &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            2,
-            &plain_counters,
-        );
+        let (plain, plain_stats) =
+            VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
+                &cands,
+                &plain_counters,
+                &CancelToken::unlimited(),
+            );
         let cascade = BoundCascade::prepare(
             &CascadeSpec::standard(),
             &query,
@@ -660,14 +601,10 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let counters = PipelineCounters::new();
-        let _ = verify_candidates(
+        let _ = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Banded(1), 2).run(
             &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Banded(1),
-            2,
             &counters,
+            &CancelToken::unlimited(),
         );
         let snap = counters.snapshot();
         assert_eq!(snap.abandoned, 0);
@@ -679,14 +616,10 @@ mod tests {
         let mut cands = candidates();
         cands.reverse();
         let query = [3.0, 3.3, 3.9];
-        let (m, _) = verify_candidates(
+        let (m, _) = VerifyJob::new(&query, 5.0, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
             &cands,
-            &query,
-            5.0,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            3,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
         assert!(m.windows(2).all(|w| w[0].id < w[1].id));
     }
@@ -695,14 +628,10 @@ mod tests {
     fn distances_are_exact() {
         let cands = candidates();
         let query = [2.0, 2.5, 2.9];
-        let (m, _) = verify_candidates(
+        let (m, _) = VerifyJob::new(&query, 1.0, DtwKind::SumAbs, VerifyMode::Exact, 4).run(
             &cands,
-            &query,
-            1.0,
-            DtwKind::SumAbs,
-            VerifyMode::Exact,
-            4,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
         for matched in &m {
             let expect = dtw(&cands[matched.id as usize].1, &query, DtwKind::SumAbs).distance;
@@ -714,24 +643,13 @@ mod tests {
     fn banded_mode_is_a_subset_of_exact() {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
-        let (exact, _) = verify_candidates(
+        let (exact, _) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
             &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            2,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
-        let (banded, _) = verify_candidates(
-            &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Banded(1),
-            2,
-            &PipelineCounters::new(),
-        );
+        let (banded, _) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Banded(1), 2)
+            .run(&cands, &PipelineCounters::new(), &CancelToken::unlimited());
         let exact_ids: Vec<_> = exact.iter().map(|m| m.id).collect();
         for m in &banded {
             assert!(exact_ids.contains(&m.id));
@@ -741,14 +659,10 @@ mod tests {
     #[test]
     fn empty_candidates_are_fine() {
         let counters = PipelineCounters::new();
-        let (m, s) = verify_candidates(
+        let (m, s) = VerifyJob::new(&[1.0], 1.0, DtwKind::MaxAbs, VerifyMode::Exact, 4).run(
             &[],
-            &[1.0],
-            1.0,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            4,
             &counters,
+            &CancelToken::unlimited(),
         );
         assert!(m.is_empty());
         assert_eq!(s.dtw_invocations, 0);
@@ -758,14 +672,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one verify worker")]
     fn zero_threads_rejected() {
-        let _ = verify_candidates(
+        let _ = VerifyJob::new(&[1.0], 1.0, DtwKind::MaxAbs, VerifyMode::Exact, 0).run(
             &[],
-            &[1.0],
-            1.0,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            0,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
     }
 }

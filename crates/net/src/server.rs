@@ -67,7 +67,7 @@ impl Default for TenantQos {
     }
 }
 
-/// Server tuning knobs. The defaults suit tests and the loadtest harness;
+/// Server tuning knobs. The defaults suit tests and the CLI's `serve`;
 /// production deployments mostly raise the timeouts.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {

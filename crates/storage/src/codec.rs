@@ -14,7 +14,7 @@
 //! is infallible on encode and validating on decode; it is the single place
 //! that defines the on-page byte layout of a sequence.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::checksum::Crc32;
 use crate::convert::{record_len_u32, u32_to_usize};
@@ -173,7 +173,7 @@ pub fn encode_record_to_bytes_v2(id: u64, values: &[f64]) -> Bytes {
 /// The v2 CRC is verified over the id, length and value bytes before any
 /// value is accepted, so flipped bits anywhere in the record — including
 /// the id — surface as [`CodecError::ChecksumMismatch`], not as wrong data.
-pub(crate) fn decode_record_slice(
+pub fn decode_record_slice(
     format: RecordFormat,
     bytes: &[u8],
 ) -> Result<(Record, usize), CodecError> {
@@ -230,54 +230,32 @@ fn le_array<const N: usize>(field: &[u8]) -> [u8; N] {
     field.try_into().unwrap_or([0; N])
 }
 
-/// Decodes one v1 record from the front of `buf`, advancing it.
-pub fn decode_record(buf: &mut Bytes) -> Result<Record, CodecError> {
-    decode_record_fmt(RecordFormat::V1, buf)
-}
-
-/// Decodes one checksummed v2 record from the front of `buf`, advancing it.
-pub fn decode_record_v2(buf: &mut Bytes) -> Result<Record, CodecError> {
-    decode_record_fmt(RecordFormat::V2, buf)
-}
-
-/// Decodes one record in `format` from the front of `buf`, advancing it past
-/// the record — also when the checksum disowns it, so a stream can step over
-/// a corrupt record deliberately. Any other error leaves `buf` where it was.
-pub fn decode_record_fmt(format: RecordFormat, buf: &mut Bytes) -> Result<Record, CodecError> {
-    match decode_record_slice(format, buf) {
-        Ok((record, used)) => {
-            buf.advance(used);
-            Ok(record)
-        }
-        Err(e) => {
-            if let (CodecError::ChecksumMismatch { .. }, Some(len)) = (&e, declared_len(buf)) {
-                // The length passed its bound and the body is all there.
-                buf.advance(format.encoded_len(u32_to_usize(len)));
-            }
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_v1(bytes: &[u8]) -> Result<(Record, usize), CodecError> {
+        decode_record_slice(RecordFormat::V1, bytes)
+    }
+
+    fn decode_v2(bytes: &[u8]) -> Result<(Record, usize), CodecError> {
+        decode_record_slice(RecordFormat::V2, bytes)
+    }
 
     #[test]
     fn roundtrip_simple() {
         let bytes = encode_record_to_bytes(7, &[1.0, -2.5, 3.25]);
         assert_eq!(bytes.len(), encoded_len(3));
-        let mut buf = bytes;
-        let rec = decode_record(&mut buf).expect("decode");
+        let (rec, used) = decode_v1(&bytes).expect("decode");
         assert_eq!(rec.id, 7);
         assert_eq!(rec.values, vec![1.0, -2.5, 3.25]);
-        assert_eq!(buf.remaining(), 0);
+        assert_eq!(used, bytes.len());
     }
 
     #[test]
     fn roundtrip_empty_values() {
-        let mut buf = encode_record_to_bytes(0, &[]);
-        let rec = decode_record(&mut buf).expect("decode");
+        let bytes = encode_record_to_bytes(0, &[]);
+        let (rec, _) = decode_v1(&bytes).expect("decode");
         assert_eq!(rec.id, 0);
         assert!(rec.values.is_empty());
     }
@@ -288,27 +266,30 @@ mod tests {
         encode_record(&mut buf, 1, &[1.0]);
         encode_record(&mut buf, 2, &[2.0, 2.0]);
         encode_record(&mut buf, 3, &[]);
-        let mut bytes = buf.freeze();
+        let bytes = buf.freeze();
+        let mut at = 0;
         let ids: Vec<u64> = (0..3)
-            .map(|_| decode_record(&mut bytes).expect("decode").id)
+            .map(|_| {
+                let (rec, used) = decode_v1(&bytes[at..]).expect("decode");
+                at += used;
+                rec.id
+            })
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
-        assert_eq!(bytes.remaining(), 0);
+        assert_eq!(at, bytes.len());
     }
 
     #[test]
     fn truncated_header_rejected() {
         let bytes = encode_record_to_bytes(1, &[1.0]);
-        let mut cut = bytes.slice(0..5);
-        let err = decode_record(&mut cut).unwrap_err();
+        let err = decode_v1(&bytes[..5]).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }));
     }
 
     #[test]
     fn truncated_body_rejected() {
         let bytes = encode_record_to_bytes(1, &[1.0, 2.0]);
-        let mut cut = bytes.slice(0..bytes.len() - 3);
-        let err = decode_record(&mut cut).unwrap_err();
+        let err = decode_v1(&bytes[..bytes.len() - 3]).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }));
     }
 
@@ -317,8 +298,7 @@ mod tests {
         let mut raw = BytesMut::new();
         raw.put_u64_le(9);
         raw.put_u32_le(u32::MAX);
-        let mut bytes = raw.freeze();
-        let err = decode_record(&mut bytes).unwrap_err();
+        let err = decode_v1(&raw).unwrap_err();
         assert_eq!(err, CodecError::LengthOverflow(u32::MAX));
     }
 
@@ -328,16 +308,15 @@ mod tests {
         raw.put_u64_le(4);
         raw.put_u32_le(1);
         raw.put_f64_le(f64::NAN);
-        let mut bytes = raw.freeze();
-        let err = decode_record(&mut bytes).unwrap_err();
+        let err = decode_v1(&raw).unwrap_err();
         assert!(matches!(err, CodecError::NanElement { id: 4, index: 0 }));
     }
 
     #[test]
     fn infinities_roundtrip() {
         // Infinities are representable (unlike NaN they are ordered).
-        let mut buf = encode_record_to_bytes(1, &[f64::INFINITY, f64::NEG_INFINITY]);
-        let rec = decode_record(&mut buf).expect("decode");
+        let bytes = encode_record_to_bytes(1, &[f64::INFINITY, f64::NEG_INFINITY]);
+        let (rec, _) = decode_v1(&bytes).expect("decode");
         assert_eq!(rec.values, vec![f64::INFINITY, f64::NEG_INFINITY]);
     }
 
@@ -345,11 +324,10 @@ mod tests {
     fn v2_roundtrip() {
         let bytes = encode_record_to_bytes_v2(7, &[1.0, -2.5, 3.25]);
         assert_eq!(bytes.len(), RecordFormat::V2.encoded_len(3));
-        let mut buf = bytes;
-        let rec = decode_record_v2(&mut buf).expect("decode");
+        let (rec, used) = decode_v2(&bytes).expect("decode");
         assert_eq!(rec.id, 7);
         assert_eq!(rec.values, vec![1.0, -2.5, 3.25]);
-        assert_eq!(buf.remaining(), 0);
+        assert_eq!(used, bytes.len());
     }
 
     #[test]
@@ -370,9 +348,8 @@ mod tests {
             for delta in [0x01u8, 0x80, 0xFF] {
                 let mut bad = clean.to_vec();
                 bad[byte] ^= delta;
-                let mut buf = Bytes::from(bad);
                 // Any typed error is acceptable; a successful decode is not.
-                if let Ok(rec) = decode_record_v2(&mut buf) {
+                if let Ok((rec, _)) = decode_v2(&bad) {
                     panic!("corruption at byte {byte} (^{delta:#04x}) decoded as {rec:?}")
                 }
             }
@@ -381,18 +358,20 @@ mod tests {
 
     #[test]
     fn v2_checksum_mismatch_consumes_the_record() {
-        // A stream must be able to step over a corrupt record deliberately.
+        // A stream must be able to step over a corrupt record deliberately:
+        // the length a checksum failure leaves behind spans the whole record.
         let mut buf = BytesMut::new();
         encode_record_v2(&mut buf, 1, &[1.0]);
         encode_record_v2(&mut buf, 2, &[2.0]);
         let mut bytes = buf.freeze().to_vec();
         bytes[20] ^= 0xFF; // first value byte of record 1
-        let mut stream = Bytes::from(bytes);
         assert!(matches!(
-            decode_record_v2(&mut stream),
+            decode_v2(&bytes),
             Err(CodecError::ChecksumMismatch { id: 1 })
         ));
-        let rec = decode_record_v2(&mut stream).expect("next record intact");
+        let len = declared_len(&bytes).expect("length field intact");
+        let skip = RecordFormat::V2.encoded_len(u32_to_usize(len));
+        let (rec, _) = decode_v2(&bytes[skip..]).expect("next record intact");
         assert_eq!(rec.id, 2);
     }
 
@@ -405,8 +384,7 @@ mod tests {
         encode_record_fmt(RecordFormat::V2, &mut b2, 5, &[9.0]);
         let frozen = b2.freeze();
         assert_eq!(frozen.clone(), encode_record_to_bytes_v2(5, &[9.0]));
-        let mut stream = frozen;
-        let rec = decode_record_fmt(RecordFormat::V2, &mut stream).unwrap();
+        let (rec, _) = decode_record_slice(RecordFormat::V2, &frozen).unwrap();
         assert_eq!(rec.values, vec![9.0]);
     }
 }

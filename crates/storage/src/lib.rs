@@ -46,9 +46,9 @@ mod wal;
 pub use buffer::{BufferPool, BufferStats};
 pub use checksum::{crc32, ChecksumPager, Crc32, PAGE_FORMAT_CRC, TRAILER_BYTES};
 pub use codec::{
-    decode_record, decode_record_fmt, decode_record_v2, encode_record, encode_record_fmt,
-    encode_record_to_bytes, encode_record_to_bytes_v2, encode_record_v2, encoded_len, CodecError,
-    Record, RecordFormat, MAX_RECORD_ELEMS, RECORD_HEADER_BYTES, RECORD_HEADER_BYTES_V2,
+    decode_record_slice, encode_record, encode_record_fmt, encode_record_to_bytes,
+    encode_record_to_bytes_v2, encode_record_v2, encoded_len, CodecError, Record, RecordFormat,
+    MAX_RECORD_ELEMS, RECORD_HEADER_BYTES, RECORD_HEADER_BYTES_V2,
 };
 pub use cost::{CpuModel, DiskModel, HardwareModel, IoProfile};
 pub use envelope::{lemire_envelope, EnvelopeEntry, EnvelopeError, EnvelopeSidecar};

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use tw_storage::{
-    crc32, decode_record, encode_record_to_bytes, BufferPool, Crc32, MemPager, Pager, SequenceStore,
+    crc32, decode_record_slice, encode_record_to_bytes, BufferPool, Crc32, MemPager, Pager,
+    RecordFormat, SequenceStore,
 };
 
 /// CRC-32/IEEE by definition, one bit at a time — the reference the
@@ -55,8 +56,8 @@ proptest! {
     /// Codec: encode/decode is the identity for any finite payload.
     #[test]
     fn codec_roundtrip(id in any::<u64>(), values in values_strategy()) {
-        let mut buf = encode_record_to_bytes(id, &values);
-        let rec = decode_record(&mut buf).expect("decode");
+        let bytes = encode_record_to_bytes(id, &values);
+        let (rec, _) = decode_record_slice(RecordFormat::V1, &bytes).expect("decode");
         prop_assert_eq!(rec.id, id);
         prop_assert_eq!(rec.values, values);
     }
@@ -70,8 +71,7 @@ proptest! {
     ) {
         let bytes = encode_record_to_bytes(1, &values);
         let keep = bytes.len().saturating_sub(cut + 1);
-        let mut sliced = bytes.slice(0..keep);
-        prop_assert!(decode_record(&mut sliced).is_err());
+        prop_assert!(decode_record_slice(RecordFormat::V1, &bytes[..keep]).is_err());
     }
 
     /// Store: append then read back arbitrary batches, in order and by id.

@@ -1,10 +1,10 @@
 //! A minimal JSON value type, serializer and parser.
 //!
 //! The workspace builds `--offline` with no registry access, so `xtask`
-//! cannot use serde; `BENCH_search.json` is small and its schema is pinned,
-//! which makes a hand-rolled tree both sufficient and easy to validate
-//! against (see `bench::validate`). Objects preserve insertion order so the
-//! emitted file is byte-stable across runs with equal values.
+//! cannot use serde; the SARIF report ([`crate::sarif`]) is written through
+//! this hand-rolled tree, and the parser lets the tests read it back as
+//! valid JSON. Objects preserve insertion order so the emitted file is
+//! byte-stable across runs with equal values.
 
 use std::fmt::Write as _;
 

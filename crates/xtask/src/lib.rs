@@ -21,10 +21,8 @@
 //! by the committed `analyze-baseline.toml` ratchet.
 
 pub mod baseline;
-pub mod bench;
 pub mod json;
 pub mod lexer;
-pub mod loadtest;
 pub mod model;
 pub mod rules;
 pub mod sarif;

@@ -1,4 +1,4 @@
-//! Workspace tooling CLI — static analysis and the bench harness.
+//! Workspace tooling CLI — the tw-analyze static-analysis pass.
 //!
 //! ```text
 //! cargo run -p xtask -- analyze                 # check against the ratchet
@@ -8,9 +8,6 @@
 //! cargo run -p xtask -- analyze --format=github # workflow-command annotations
 //! cargo run -p xtask -- analyze --timings       # per-pass wall times
 //! cargo run -p xtask -- rules                   # rule catalog
-//! cargo run -p xtask -- bench --smoke           # write BENCH_search.json
-//! cargo run -p xtask -- validate-bench [FILE]   # schema-pin check
-//! cargo run -p xtask -- loadtest --smoke        # net-server load gate
 //! ```
 //!
 //! Exit codes: 0 clean (vs. baseline), 1 new violations or a stale
@@ -46,36 +43,9 @@ struct Opts {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: tw-analyze <analyze|rules> [--fix-baseline] [--list] [--timings] \
-         [--format=text|sarif|github] [--root DIR] [--baseline FILE]\n       \
-         tw-analyze bench [--smoke] [--large] [--seed N] [--out FILE]\n       \
-         tw-analyze validate-bench [FILE]\n       \
-         tw-analyze loadtest [--smoke] [--clients N] [--requests N] [--seed N] [--out FILE]"
+         [--format=text|sarif|github] [--root DIR] [--baseline FILE]"
     );
     ExitCode::from(2)
-}
-
-/// Dispatches the bench and loadtest subcommands, which have their own
-/// flag grammars.
-fn bench_command(command: &str, args: &[String]) -> ExitCode {
-    let root = match walk::find_root(None) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("tw-analyze: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = match command {
-        "bench" => xtask::bench::bench_cli(args, &root),
-        "loadtest" => xtask::loadtest::loadtest_cli(args, &root),
-        _ => xtask::bench::validate_cli(args, &root),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("tw-analyze: {command}: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn parse_args() -> Result<Opts, ExitCode> {
@@ -122,12 +92,6 @@ fn parse_format(name: &str) -> Result<Format, ExitCode> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(command @ ("bench" | "validate-bench" | "loadtest")) =
-        argv.first().map(String::as_str)
-    {
-        return bench_command(command, &argv[1..]);
-    }
     let opts = match parse_args() {
         Ok(o) => o,
         Err(code) => return code,

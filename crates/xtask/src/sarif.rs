@@ -2,8 +2,7 @@
 //!
 //! Static Analysis Results Interchange Format: the machine-readable shape
 //! CI understands (GitHub code scanning, IDE SARIF viewers). Built on the
-//! same hand-rolled [`crate::json`] tree the bench harness uses, so the
-//! analyzer stays dependency-free.
+//! hand-rolled [`crate::json`] tree, so the analyzer stays dependency-free.
 //!
 //! Level mapping: a finding whose `(file, rule)` count regressed over the
 //! committed baseline is an `error` (the run fails); other active findings

@@ -27,36 +27,6 @@ cargo run -q -p xtask --offline -- analyze
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
-# One smoke cell of the seeded bench matrix: asserts the query-stats
-# accounting invariant and exact-engine agreement on every query, then
-# re-validates the emitted BENCH_search.json against the pinned schema
-# (DESIGN.md §10). Written to a scratch file so CI never dirties the
-# committed full-matrix BENCH_search.json at the repo root.
-echo "==> bench smoke + schema validation"
-BENCH_SMOKE_OUT="$(mktemp -t BENCH_search.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE_OUT"' EXIT
-cargo run -q -p xtask --offline -- bench --smoke --out "$BENCH_SMOKE_OUT"
-cargo run -q -p xtask --offline -- validate-bench "$BENCH_SMOKE_OUT"
-
-# The sharded out-of-core arm at smoke scale: same code path as the
-# million-sequence `bench --large` tier (CorpusSharder ingest, fan-out
-# query through per-shard buffer pools), shrunk so CI proves the I/O model
-# — the schema validator pins pool_misses > resident frames — in seconds.
-echo "==> bench large (smoke scale) + schema validation"
-BENCH_LARGE_OUT="$(mktemp -t BENCH_large.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE_OUT" "$BENCH_LARGE_OUT"' EXIT
-cargo run -q -p xtask --offline -- bench --large --smoke --out "$BENCH_LARGE_OUT"
-cargo run -q -p xtask --offline -- validate-bench "$BENCH_LARGE_OUT"
-
-# The network-service load gate: 8 concurrent clients over a seeded sharded
-# corpus against the in-process tw-net server (DESIGN.md §15). Asserts zero
-# protocol errors and that both accounting ledgers — the server's frame
-# ledger and the aggregate QueryStats — balance exactly; the JSON report
-# (latency percentiles, shed rate, partial-result rate) is uploaded as a CI
-# artifact.
-echo "==> net loadtest (smoke)"
-cargo run -q -p xtask --offline -- loadtest --smoke --out target/loadtest.json
-
 # The layered benchmark (benchmark/, its own workspace) carries an
 # independent max-abs DTW oracle that shares no code with tw_core: its tests
 # and a smoke run of all five workloads check the verification kernel's ids

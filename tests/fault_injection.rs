@@ -14,9 +14,9 @@ use tw_core::distance::DtwKind;
 use tw_core::search::{EngineOpts, LbScan, ResilientSearch, SearchEngine, TwSimSearch};
 use tw_core::TwError;
 use tw_storage::{
-    create_wal_file, decode_record_v2, encode_record_to_bytes_v2, open_wal_file, ChecksumPager,
-    FaultConfig, FaultHandle, FaultPager, FilePager, MemPager, RetryPager, RetryPolicy,
-    SequenceStore, Wal, WalRecord,
+    create_wal_file, decode_record_slice, encode_record_to_bytes_v2, open_wal_file, ChecksumPager,
+    FaultConfig, FaultHandle, FaultPager, FilePager, MemPager, RecordFormat, RetryPager,
+    RetryPolicy, SequenceStore, Wal, WalRecord,
 };
 use tw_workload::{generate_random_walks, RandomWalkConfig};
 
@@ -387,9 +387,8 @@ proptest! {
         let target = byte_index % bad.len();
         bad[target] ^= xor_mask;
 
-        let mut buf = bytes::Bytes::from(bad);
-        match decode_record_v2(&mut buf) {
-            Ok(rec) => {
+        match decode_record_slice(RecordFormat::V2, &bad) {
+            Ok((rec, _)) => {
                 // A flip in the id or length fields can still checksum-fail;
                 // a successful decode with intact payload is impossible
                 // because the CRC covers id, length and values.

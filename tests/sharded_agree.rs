@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use tw_core::distance::{dtw, DtwKind};
 use tw_core::govern::Termination;
-use tw_core::search::{EngineOpts, SearchEngine, ShardedSearch, TwSimSearch};
+use tw_core::search::{CorpusSharder, EngineOpts, SearchEngine, ShardedSearch, TwSimSearch};
 use tw_core::CascadeSpec;
 use tw_storage::{MemPager, SequenceStore};
 use tw_workload::{generate_queries, generate_random_walks, RandomWalkConfig};
@@ -219,4 +219,51 @@ fn uneven_tail_shard_is_still_exact() {
             .expect("sharded");
         assert_eq!(got.merged.ids(), expect.ids());
     }
+}
+
+#[test]
+fn out_of_core_corpus_reads_past_its_pools_and_stays_exact() {
+    // 400 sequences in 4 on-disk shards, reopened through 2-frame pools:
+    // the shards' pages outnumber the resident frames, so one query pass
+    // must miss the pools more often than there are frames, and the
+    // answers must still be the in-memory corpus's to the bit.
+    const POOL_PAGES: usize = 2;
+    let data = generate_random_walks(&RandomWalkConfig::paper(400, 32), 20010402);
+    let dir = std::env::temp_dir().join(format!("tw-out-of-core-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut sharder = CorpusSharder::create(&dir, 100)
+        .expect("create sharder")
+        .sidecars(false);
+    for s in &data {
+        sharder.append(s).expect("append");
+    }
+    sharder.finish().expect("commit manifest");
+    let (sharded, reports) = ShardedSearch::open_dir(&dir, POOL_PAGES).expect("open corpus");
+    assert!(reports.iter().all(|r| r.is_clean()));
+    assert_eq!(sharded.shard_count(), 4);
+    sharded.reset_pool_stats();
+
+    let store = store_with(&data);
+    let flat = TwSimSearch::build(&store).expect("build flat");
+    let opts = EngineOpts::new().kind(DtwKind::MaxAbs).threads(2);
+    for q in &generate_queries(&data, 2, 20010403) {
+        let expect = flat.range_search(&store, q, 0.5, &opts).expect("flat");
+        assert!(!expect.matches.is_empty());
+        let got = sharded
+            .range_search_sharded(q, 0.5, &opts)
+            .expect("sharded");
+        assert_eq!(got.merged.ids(), expect.ids());
+        for (g, e) in got.merged.matches.iter().zip(&expect.matches) {
+            assert_eq!(g.distance.to_bits(), e.distance.to_bits(), "id {}", g.id);
+        }
+        assert!(got.merged.query_stats.accounting_balanced());
+    }
+    let resident = (sharded.shard_count() * POOL_PAGES) as u64;
+    assert!(
+        sharded.pool_misses() > resident,
+        "{} pool miss(es) against {resident} resident frame(s): not out of core",
+        sharded.pool_misses()
+    );
+    drop(sharded);
+    std::fs::remove_dir_all(&dir).ok();
 }
