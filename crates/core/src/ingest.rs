@@ -51,7 +51,8 @@ use tw_storage::{
 use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::termination_of;
-use crate::search::{EngineOpts, SearchEngine, SearchOutcome, TwSimSearch, VerifyJob};
+use crate::search::pipeline::verify;
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome, TwSimSearch};
 use crate::sequence::Sequence;
 use crate::stats::PipelineCounters;
 
@@ -594,9 +595,11 @@ impl<P: Pager> Snapshot<'_, P> {
     /// Matches the engine reports beyond `base_len` — sequences folded by a
     /// checkpoint *after* this snapshot was pinned — are filtered out, and
     /// the pinned tail is verified from memory through the shared exact
-    /// pipeline, honouring the options' cascade, verify mode, thread count
-    /// and budget. The result is exactly what the engine would have
-    /// returned had the whole corpus been frozen at this epoch.
+    /// pipeline, honouring the options' cascade, verify mode and thread
+    /// count. The query arms its budget once: the base and the tail charge
+    /// the same token, so a cap covers the whole query. The result is
+    /// exactly what the engine would have returned had the whole corpus
+    /// been frozen at this epoch.
     pub fn search_with<E>(
         &self,
         engine: &E,
@@ -608,6 +611,8 @@ impl<P: Pager> Snapshot<'_, P> {
         E: SearchEngine<P> + ?Sized,
     {
         validate_query(query)?;
+        let token = opts.arm_budget();
+        let opts = &opts.clone().shared_token(token.clone());
         let mut outcome = {
             let base = self.owner.base.read();
             engine.range_search(&base, query, epsilon, opts)?
@@ -616,21 +621,16 @@ impl<P: Pager> Snapshot<'_, P> {
         outcome.matches.retain(|m| m.id < self.base_len);
 
         if !self.tail.is_empty() {
-            let candidates: Vec<(SeqId, Vec<f64>)> = self
+            let rows: Vec<(SeqId, Vec<f64>)> = self
                 .tail
                 .iter()
                 .enumerate()
                 .map(|(i, values)| (self.base_len + i as u64, values.as_ref().clone()))
                 .collect();
-            let token = opts.arm_budget();
             let counters = PipelineCounters::new();
-            counters.add_candidates(candidates.len() as u64);
-            let cascade = opts.arm_cascade(query);
-            let (tail_matches, tail_stats) =
-                VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
-                    .with_cascade(cascade.as_deref())
-                    .run(&candidates, &counters, &token);
-            outcome.stats.candidates += candidates.len();
+            counters.add_candidates(rows.len() as u64);
+            let (tail_matches, tail_stats) = verify(&rows, query, epsilon, opts, &counters, &token);
+            outcome.stats.candidates += rows.len();
             outcome.stats.accumulate(&tail_stats);
             outcome.matches.extend(tail_matches);
             outcome.query_stats.merge(&counters.snapshot());
@@ -816,6 +816,40 @@ mod tests {
             "a one-cell budget cannot verify six tail sequences"
         );
         assert!(out.query_stats.accounting_balanced());
+    }
+
+    #[test]
+    fn one_budget_spans_the_base_and_the_tail() {
+        let ingest = ConcurrentIngest::in_memory();
+        let mut writer = ingest.writer().unwrap();
+        let data = corpus();
+        for values in &data[..3] {
+            writer.append(values).unwrap();
+        }
+        writer.checkpoint().unwrap();
+        for values in &data[3..] {
+            writer.append(values).unwrap();
+        }
+        let snap = ingest.snapshot();
+        let free = snap.search_with(&NaiveScan, &QUERY, 0.6, &EngineOpts::new());
+        let free = free.unwrap();
+        let base = NaiveScan
+            .range_search(&ingest.base.read(), &QUERY, 0.6, &EngineOpts::new())
+            .unwrap();
+        let base_cells = base.stats.dtw_cells;
+        let tail_cells = free.stats.dtw_cells - base_cells;
+        // Either half alone fits the cap; the query as a whole does not.
+        let cap = base_cells.max(tail_cells) + 1;
+        assert!(cap < base_cells + tail_cells, "{base_cells} + {tail_cells}");
+        let opts = EngineOpts::new().budget(QueryBudget::new().max_cells(cap));
+        let out = snap.search_with(&NaiveScan, &QUERY, 0.6, &opts).unwrap();
+        assert!(!out.termination.is_complete(), "{out:?}");
+        assert!(
+            out.query_stats.accounting_balanced(),
+            "{:?}",
+            out.query_stats
+        );
+        assert!(out.matches.iter().all(|m| free.matches.contains(m)));
     }
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -20,12 +20,12 @@
 //! * the four **search engines** of the paper's evaluation
 //!   ([`search`]): [`NaiveScan`], [`LbScan`], [`StFilterSearch`] and the
 //!   contribution, [`TwSimSearch`] — plus the approximate [`FastMapSearch`]
-//!   (measured for false dismissals), the cost-based [`HybridSearch`]
-//!   router, kNN queries and the §6 subsequence-matching extension
-//!   ([`SubsequenceIndex`]). All six implement one object-safe trait,
-//!   [`SearchEngine`], parameterized by [`EngineOpts`] (distance kind,
-//!   verification threads, Sakoe–Chiba band, cost model) and sharing one
-//!   parallel verification pipeline;
+//!   (measured for false dismissals), kNN queries and the §6
+//!   subsequence-matching extension ([`SubsequenceIndex`]). The five range
+//!   engines implement one object-safe trait, [`SearchEngine`],
+//!   parameterized by [`EngineOpts`] (distance kind, verification threads,
+//!   Sakoe–Chiba band, budget, cascade); each is a candidate source in
+//!   front of one governed fetch → cascade → parallel verify pipeline;
 //! * instrumentation ([`SearchStats`]) reporting candidate ratios, DTW
 //!   cells, index node accesses and storage I/O, priced by the disk model in
 //!   `tw-storage` to regenerate the paper's elapsed-time figures.
@@ -99,11 +99,10 @@ pub use ingest::{
     Snapshot,
 };
 pub use search::{
-    false_dismissals, CorpusSharder, EngineOpts, FastMapSearch, HybridPlan, HybridSearch, KnnMatch,
-    KnnOutcome, LbScan, Match, NaiveScan, SearchEngine, SearchOutcome, SearchResult, SearchStats,
-    ShardHandle, ShardedKnnOutcome, ShardedOutcome, ShardedSearch, StFilterSearch,
-    SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, TwSimSearch, VerifyJob, VerifyMode,
-    WindowSpec,
+    false_dismissals, CorpusSharder, EngineOpts, FastMapSearch, KnnMatch, KnnOutcome, LbScan,
+    Match, NaiveScan, SearchEngine, SearchOutcome, SearchResult, SearchStats, ShardHandle,
+    ShardedKnnOutcome, ShardedOutcome, ShardedSearch, StFilterSearch, SubsequenceIndex,
+    SubsequenceMatch, SubsequenceOutcome, TwSimSearch, VerifyJob, VerifyMode, WindowSpec,
 };
 pub use sequence::Sequence;
 pub use stats::{Phase, PhaseTimes, PipelineCounters, QueryStats};

@@ -1,11 +1,11 @@
 //! The unified query API: one object-safe trait over every search engine.
 //!
-//! The paper evaluates four methods (plus FastMap and the hybrid router)
-//! that all answer the same ε-range question but were historically invoked
-//! through per-engine inherent methods with diverging signatures. The
-//! [`SearchEngine`] trait collapses them: callers build an [`EngineOpts`],
-//! pick an engine — statically or as `Box<dyn SearchEngine<P>>` — and get a
-//! [`SearchOutcome`] whose stats are comparable across engines.
+//! The paper evaluates four methods (plus FastMap) that all answer the same
+//! ε-range question. The [`SearchEngine`] trait is their one entry point:
+//! callers build an [`EngineOpts`], pick an engine — statically or as
+//! `Box<dyn SearchEngine<P>>` — and get a [`SearchOutcome`] whose stats are
+//! comparable across engines, because every engine is a candidate source in
+//! front of the same fetch → cascade → verify pipeline.
 //!
 //! ```
 //! use tw_core::distance::DtwKind;
@@ -31,23 +31,21 @@
 
 use std::sync::Arc;
 
-use tw_storage::{HardwareModel, Pager, SeqId, SequenceStore};
+use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::bound::{BoundCascade, CascadeSpec};
 use crate::distance::DtwKind;
 use crate::error::TwError;
 use crate::govern::{CancelToken, QueryBudget, Termination};
-use crate::search::{HybridPlan, Match, SearchResult, SearchStats, VerifyMode};
+use crate::search::{Match, SearchResult, SearchStats, VerifyMode};
 use crate::stats::QueryStats;
 
 /// Per-query options shared by every engine, built fluently.
 ///
-/// Engines read the subset that applies to them: every engine honours
-/// `kind`, `threads` and `verify` (they parameterize the shared
-/// verification pipeline), while `hardware` is consulted only by the
-/// cost-based [`crate::search::HybridSearch`] router. The one exception is
-/// [`crate::search::FastMapSearch`], whose distance kind is fixed when its
-/// embedding is fitted — it ignores `kind` and documents so.
+/// Every field parameterizes the shared pipeline, so every engine honours
+/// all of them. The one exception is [`crate::search::FastMapSearch`],
+/// whose distance kind is fixed when its embedding is fitted — it ignores
+/// `kind` and documents so.
 #[derive(Debug, Clone)]
 pub struct EngineOpts {
     /// The time-warping recurrence (default: the paper's L∞,
@@ -66,9 +64,6 @@ pub struct EngineOpts {
     /// How candidates are verified: exact early-abandoning DTW or a
     /// Sakoe–Chiba band (default [`VerifyMode::Exact`]).
     pub verify: VerifyMode,
-    /// The cost model the hybrid router prices continuations with
-    /// (default: the paper's 2001 hardware).
-    pub hardware: HardwareModel,
     /// Optional resource budget (deadline, DTW cells, candidate bytes, pager
     /// reads) the query runs under. `None` — the default — means unlimited:
     /// engines behave byte-identically to an unbudgeted build.
@@ -82,8 +77,9 @@ pub struct EngineOpts {
     /// A pre-armed cancellation token shared with other sub-searches of the
     /// same logical query. When set, [`Self::arm_budget`] hands out clones
     /// of *this* token instead of arming `budget`, so every participant —
-    /// the shard fan-out being the motivating case — charges one shared
-    /// ledger and observes one first-cause-wins trip.
+    /// the shards of a fan-out, a snapshot's base and tail, a resilient
+    /// engine's fallback scan — charges one shared ledger and observes one
+    /// first-cause-wins trip.
     pub shared_token: Option<CancelToken>,
     /// A cascade already compiled for one concrete query. When the query
     /// handed to [`Self::arm_cascade`] is bit-identical to the prepared one
@@ -96,14 +92,12 @@ pub struct EngineOpts {
 }
 
 impl EngineOpts {
-    /// The paper's defaults: L∞ recurrence, sequential exact verification,
-    /// 2001 hardware model.
+    /// The paper's defaults: L∞ recurrence, sequential exact verification.
     pub fn new() -> Self {
         Self {
             kind: DtwKind::MaxAbs,
             threads: 1,
             verify: VerifyMode::Exact,
-            hardware: HardwareModel::icde2001(),
             budget: None,
             cascade: None,
             shared_token: None,
@@ -127,12 +121,6 @@ impl EngineOpts {
     /// Selects the verification mode.
     pub fn verify(mut self, verify: VerifyMode) -> Self {
         self.verify = verify;
-        self
-    }
-
-    /// Sets the hardware cost model used for plan pricing.
-    pub fn hardware(mut self, hardware: HardwareModel) -> Self {
-        self.hardware = hardware;
         self
     }
 
@@ -170,8 +158,8 @@ impl EngineOpts {
 
     /// Compiles the cascade spec — if any — against one concrete query,
     /// reusing `prepared_cascade` when it was compiled for exactly this
-    /// query. Engines call this once per query and hand the result to
-    /// [`crate::search::VerifyJob::with_cascade`].
+    /// query. The range pipeline calls this once per query and hands the
+    /// result to [`crate::search::VerifyJob::with_cascade`].
     pub fn arm_cascade(&self, query: &[f64]) -> Option<Arc<BoundCascade>> {
         if let Some(prepared) = &self.prepared_cascade {
             let pq = prepared.query();
@@ -258,9 +246,6 @@ pub struct SearchOutcome {
     pub matches: Vec<Match>,
     /// The engine's work accounting.
     pub stats: SearchStats,
-    /// The continuation a planning engine executed; `None` for engines that
-    /// never plan.
-    pub plan: Option<HybridPlan>,
     /// Whether the primary plan answered or an exact fallback did.
     pub health: EngineHealth,
     /// Per-phase observability breakdown (candidates, prunes, verify /
@@ -280,7 +265,8 @@ impl SearchOutcome {
         self.matches.iter().map(|m| m.id).collect()
     }
 
-    /// Drops the plan, yielding the legacy result type.
+    /// Drops the health, ledger and termination, yielding the legacy result
+    /// type.
     pub fn into_result(self) -> SearchResult {
         SearchResult {
             matches: self.matches,
@@ -294,7 +280,6 @@ impl From<SearchResult> for SearchOutcome {
         Self {
             matches: result.matches,
             stats: result.stats,
-            plan: None,
             health: EngineHealth::Healthy,
             query_stats: QueryStats::default(),
             termination: Termination::Complete,
@@ -339,12 +324,10 @@ mod tests {
         let o = EngineOpts::new()
             .kind(DtwKind::SumAbs)
             .threads(4)
-            .verify(VerifyMode::Banded(3))
-            .hardware(HardwareModel::cpu_only());
+            .verify(VerifyMode::Banded(3));
         assert_eq!(o.kind, DtwKind::SumAbs);
         assert_eq!(o.threads, 4);
         assert_eq!(o.verify, VerifyMode::Banded(3));
-        assert_eq!(o.hardware, HardwareModel::cpu_only());
     }
 
     #[test]
@@ -364,7 +347,6 @@ mod tests {
                 db_size: 10,
                 ..Default::default()
             },
-            plan: Some(HybridPlan::IndexVerify),
             health: EngineHealth::Healthy,
             query_stats: QueryStats::default(),
             termination: Termination::Complete,
@@ -373,7 +355,6 @@ mod tests {
         let result = outcome.clone().into_result();
         assert_eq!(result.ids(), vec![3]);
         let back: SearchOutcome = result.into();
-        assert_eq!(back.plan, None);
         assert_eq!(back.stats.db_size, 10);
         assert!(!back.health.is_degraded());
     }

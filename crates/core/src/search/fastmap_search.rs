@@ -18,13 +18,10 @@ use tw_rtree::{Point, RTree, RTreeConfig, SplitAlgorithm};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw, DtwKind};
-use crate::error::{validate_query, validate_tolerance, TwError};
-use crate::govern::termination_of;
-use crate::search::verify::VerifyJob;
-use crate::search::{
-    EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchResult, SearchStats,
-};
-use crate::stats::{wall_now, Phase, PipelineCounters};
+use crate::error::TwError;
+use crate::search::pipeline::{Proposals, Scope};
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome, SearchResult};
+use crate::stats::{wall_now, Phase};
 
 /// The approximate FastMap engine.
 #[derive(Debug, Clone)]
@@ -104,18 +101,7 @@ impl<P: Pager> SearchEngine<P> for FastMapSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
-        let mut stats = SearchStats {
-            db_size: store.len(),
-            ..Default::default()
-        };
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
 
         // Embed the query: 2k exact DTW evaluations against pivot sequences.
         // `project` wants an infallible oracle, so a store fault (a failed
@@ -142,70 +128,35 @@ impl<P: Pager> SearchEngine<P> for FastMapSearch {
         if let Some(fault) = pivot_fault {
             return Err(fault);
         }
-        stats.dtw_invocations += pivot_evals;
-        stats.dtw_cells += pivot_dtw_cells;
-        counters.add_pivot_dtw(pivot_evals);
-        counters.add_dtw_cells(pivot_dtw_cells);
-        let q_point = pad_point(&q_coords);
+        scope.stats.dtw_invocations += pivot_evals;
+        scope.stats.dtw_cells += pivot_dtw_cells;
+        scope.counters.add_pivot_dtw(pivot_evals);
+        scope.counters.add_dtw_cells(pivot_dtw_cells);
 
         // Range-filter in the embedded space. The square query over-covers
-        // the Euclidean ball; ball rejections are counted as pruned by the
+        // the Euclidean ball; ball rejections are candidates pruned by the
         // embedding (a heuristic filter, not a lower bound).
-        let range = self.tree.range_centered(&q_point, epsilon);
-        stats.index_node_accesses = range.stats.node_accesses();
-        counters.add_index_internal(range.stats.internal_accesses);
-        counters.add_index_leaf(range.stats.leaf_accesses);
-        counters.add_candidates(range.ids.len() as u64);
-        counters.add_phase(Phase::Filter, started_filter.elapsed());
-        let mut pruned = 0u64;
-        let mut skipped = 0u64;
-        let candidates = counters.time(Phase::Fetch, || {
-            let mut candidates = Vec::new();
-            for id in range.ids {
-                // A tripped budget stops the fetch: unread proposals are
-                // ledgered as skipped.
-                if token.cancelled() {
-                    skipped += 1;
-                    continue;
-                }
-                let coords = &self.map.coordinates()[id as usize];
-                if FastMap::embedded_distance(&q_coords, coords) > epsilon {
-                    pruned += 1;
-                    continue; // outside the Euclidean ball
-                }
-                let values = store.get(id)?;
-                let _ = token
-                    .charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
-                candidates.push((id, values));
-            }
-            Ok::<_, TwError>(candidates)
-        })?;
-        counters.add_pruned_embedding(pruned);
-        counters.add_skipped_unverified(skipped);
-        stats.candidates = candidates.len();
+        let mut range = self.tree.range_centered(&pad_point(&q_coords), epsilon);
+        scope.add_index(&range.stats);
+        let proposed = range.ids.len();
+        let coordinates = self.map.coordinates();
+        range.ids.retain(|&id| {
+            coordinates
+                .get(id as usize)
+                .is_some_and(|coords| FastMap::embedded_distance(&q_coords, coords) <= epsilon)
+        });
+        let outside = (proposed - range.ids.len()) as u64;
+        scope.counters.add_candidates(outside);
+        scope.counters.add_pruned_embedding(outside);
+        scope
+            .counters
+            .add_phase(Phase::Filter, started_filter.elapsed());
         // The embedding's kind is fixed at fit time, so the cascade is
-        // prepared at `self.kind` rather than the (ignored) `opts.kind`.
-        let cascade = opts
-            .cascade
-            .as_ref()
-            .map(|spec| crate::bound::BoundCascade::prepare(spec, query, self.kind, opts.verify));
-        let (matches, verify_stats) =
-            VerifyJob::new(query, epsilon, self.kind, opts.verify, opts.threads)
-                .with_cascade(cascade.as_ref())
-                .run(&candidates, &counters, &token);
-        stats.accumulate(&verify_stats);
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        stats.cpu_time = started.elapsed();
-        Ok(SearchOutcome {
-            matches,
-            stats,
-            plan: None,
-            health: EngineHealth::Healthy,
-            query_stats: counters.snapshot(),
-            termination: termination_of(&token),
-        })
+        // prepared and the candidates verified at `self.kind` rather than
+        // the (ignored) `opts.kind`.
+        let opts = opts.clone().kind(self.kind);
+        let matches = scope.refine(Proposals::Ids(range.ids), query, epsilon, &opts)?;
+        Ok(scope.finish(matches))
     }
 }
 

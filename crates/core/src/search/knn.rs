@@ -30,14 +30,15 @@
 use std::ops::Range;
 
 use tw_rtree::{KnnMetric, Nearest, RTree};
-use tw_storage::{GovernorGuard, Pager, SeqId, SequenceStore};
+use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw_within_governed, DtwKind};
 use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::{termination_of, CancelToken, Termination};
+use crate::search::pipeline::Scope;
 use crate::search::{EngineOpts, SearchStats, TwSimSearch};
-use crate::stats::{wall_now, PipelineCounters, QueryStats};
+use crate::stats::{wall_now, QueryStats};
 
 /// One kNN answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,30 +113,23 @@ impl Frontier<'_> {
     }
 }
 
-/// One source's frontier, ledger and pager governor while the loop runs.
+/// One source's frontier and its scope (ledger and pager governor) while
+/// the loop runs.
 struct Active<'a, P: Pager> {
     source: &'a KnnSource<'a, P>,
     frontier: Frontier<'a>,
-    counters: PipelineCounters,
-    retries_before: u64,
-    _governed: GovernorGuard<'a, P>,
+    scope: Scope<'a, P>,
 }
 
 impl<P: Pager> Active<'_, P> {
-    /// Closes the source's ledger — index accesses, pager traffic — and
+    /// Closes the source's scope — index accesses, pager traffic — and
     /// hands it its share of the global `best`.
-    fn finish(self, best: &[KnnMatch], termination: Termination) -> KnnOutcome {
+    fn finish(mut self, best: &[KnnMatch]) -> KnnOutcome {
         let store = self.source.store;
         if let Frontier::Index(cursor) = &self.frontier {
-            self.counters
-                .add_index_internal(cursor.stats().internal_accesses);
-            self.counters.add_index_leaf(cursor.stats().leaf_accesses);
+            self.scope.add_index(&cursor.stats());
         }
-        let io = store.take_io();
-        self.counters.add_pager_reads(io.total_pages());
-        self.counters
-            .add_checksum_retries(store.checksum_retries() - self.retries_before);
-        let query_stats = self.counters.snapshot();
+        let out = self.scope.finish(Vec::new());
         let ids = self.source.base_id..self.source.base_id + store.len() as SeqId;
         KnnOutcome {
             matches: best
@@ -145,16 +139,14 @@ impl<P: Pager> Active<'_, P> {
                 .collect(),
             // Every candidate starts exactly one DP.
             stats: SearchStats {
-                db_size: store.len(),
-                candidates: usize::try_from(query_stats.candidates).unwrap_or(usize::MAX),
-                dtw_invocations: query_stats.candidates,
-                dtw_cells: query_stats.dtw_cells,
-                index_node_accesses: query_stats.index_node_accesses(),
-                io,
-                ..Default::default()
+                candidates: usize::try_from(out.query_stats.candidates).unwrap_or(usize::MAX),
+                dtw_invocations: out.query_stats.candidates,
+                dtw_cells: out.query_stats.dtw_cells,
+                cpu_time: Default::default(),
+                ..out.stats
             },
-            query_stats,
-            termination,
+            query_stats: out.query_stats,
+            termination: out.termination,
         }
     }
 }
@@ -172,18 +164,13 @@ pub(crate) fn knn_best_first<P: Pager>(
     let q_point = FeatureVector::from_values(query).as_point();
     let mut active: Vec<Active<'_, P>> = sources
         .iter()
-        .map(|source| {
-            source.store.take_io();
-            Active {
-                source,
-                frontier: match source.tree {
-                    Some(tree) => Frontier::Index(tree.nearest(&q_point, KnnMetric::Chebyshev)),
-                    None => Frontier::Scan(0..source.store.len() as SeqId),
-                },
-                counters: PipelineCounters::new(),
-                retries_before: source.store.checksum_retries(),
-                _governed: source.store.govern_scope(token),
-            }
+        .map(|source| Active {
+            source,
+            frontier: match source.tree {
+                Some(tree) => Frontier::Index(tree.nearest(&q_point, KnnMetric::Chebyshev)),
+                None => Frontier::Scan(0..source.store.len() as SeqId),
+            },
+            scope: Scope::with_token(source.store, token.clone()),
         })
         .collect();
 
@@ -210,21 +197,22 @@ pub(crate) fn knn_best_first<P: Pager>(
         };
         let values = nearest.source.store.get(local)?;
         let _ = token.charge_candidate_bytes(std::mem::size_of_val(values.as_slice()) as u64);
-        nearest.counters.add_candidates(1);
+        let counters = &nearest.scope.counters;
+        counters.add_candidates(1);
         // One ulp of slack: the kernel compares `SumSquared` tables against
         // `threshold²`, and `sqrt(x)² < x` for about half of all `x`, which
         // would abandon a candidate tied with the k-th best exactly.
         let threshold = kth_best * (1.0 + f64::EPSILON);
         let outcome = dtw_within_governed(&values, query, kind, threshold, token);
-        nearest.counters.add_dtw_cells(outcome.cells);
+        counters.add_dtw_cells(outcome.cells);
         if outcome.cancelled {
-            nearest.counters.add_skipped_unverified(1);
+            counters.add_skipped_unverified(1);
             break;
         }
         if outcome.early_abandoned {
-            nearest.counters.add_abandoned(1);
+            counters.add_abandoned(1);
         } else {
-            nearest.counters.add_verified(1);
+            counters.add_verified(1);
         }
         if let Some(distance) = outcome.within {
             let m = KnnMatch {
@@ -244,14 +232,10 @@ pub(crate) fn knn_best_first<P: Pager>(
         }
     }
 
-    let termination = termination_of(token);
-    let per_shard: Vec<KnnOutcome> = active
-        .into_iter()
-        .map(|a| a.finish(&best, termination))
-        .collect();
+    let per_shard: Vec<KnnOutcome> = active.into_iter().map(|a| a.finish(&best)).collect();
     let mut merged = KnnOutcome {
         matches: best,
-        termination,
+        termination: termination_of(token),
         ..Default::default()
     };
     for out in &per_shard {

@@ -9,21 +9,68 @@
 use tw_storage::{Pager, SequenceStore};
 
 use crate::bound::yi_value;
-use crate::error::{validate_query, validate_tolerance, TwError};
-use crate::govern::termination_of;
-use crate::search::verify::VerifyJob;
-use crate::search::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats};
-use crate::stats::{wall_now, Phase, PipelineCounters};
+use crate::error::TwError;
+use crate::search::pipeline::{Proposals, Scope};
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome};
+use crate::stats::Phase;
 
 /// The lower-bound-filtered sequential scan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LbScan;
+
+/// One sequential pass over `store` (the scope's store), proposing the rows
+/// it keeps resident for verification. With `yi` set, a row whose `D_lb`
+/// exceeds `epsilon` is dismissed during the pass and ledgered as pruned by
+/// Yi's bound (an empty row too: it cannot match a non-empty query); without
+/// it every row is proposed. A budget that trips mid-pass turns the rest of
+/// the pass into skips: the rows are still read (the scan is one pass), but
+/// no filter CPU is spent on them and none is proposed.
+pub(crate) fn scan_rows<P: Pager>(
+    store: &SequenceStore<P>,
+    scope: &mut Scope<'_, P>,
+    query: &[f64],
+    epsilon: f64,
+    opts: &EngineOpts,
+    yi: bool,
+) -> Result<Proposals, TwError> {
+    let (token, stats) = (&scope.token, &mut scope.stats);
+    let mut rows = Vec::new();
+    let mut pruned = 0u64;
+    let mut skipped = 0u64;
+    let phase = if yi { Phase::Filter } else { Phase::Fetch };
+    scope.counters.time(phase, || {
+        store.scan_visit(|id, values| {
+            if token.cancelled() {
+                skipped += 1;
+                return;
+            }
+            if yi {
+                stats.lb_evaluations += 1;
+                stats.filter_ops += (values.len() + query.len()) as u64;
+                if values.is_empty() || yi_value(&values, query, opts.kind) > epsilon {
+                    pruned += 1;
+                    return;
+                }
+            }
+            let _ = token.charge_candidate_bytes(std::mem::size_of_val(values.as_slice()) as u64);
+            rows.push((id, values));
+        })
+    })?;
+    scope.counters.add_candidates(pruned + skipped);
+    scope.counters.add_pruned_lb_yi(pruned);
+    scope.counters.add_skipped_unverified(skipped);
+    Ok(Proposals::Rows(rows))
+}
 
 impl<P: Pager> SearchEngine<P> for LbScan {
     fn name(&self) -> &str {
         "lb-scan"
     }
 
+    /// With a cascade attached the scan proposes every row and leaves all
+    /// pruning to the cascade's tiers: the same bound runs there (as the Yi
+    /// tier) plus whatever tighter tiers the spec adds, each counted
+    /// separately.
     fn range_search(
         &self,
         store: &SequenceStore<P>,
@@ -31,74 +78,17 @@ impl<P: Pager> SearchEngine<P> for LbScan {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
-        let mut stats = SearchStats {
-            db_size: store.len(),
-            ..Default::default()
-        };
-        // Filter stage: the cheap linear lower bound prunes during the scan;
-        // survivors are kept resident for verification. Every scanned row
-        // enters the accounting as a candidate; LB rejections (including
-        // empty rows, which cannot match a non-empty query) count as pruned
-        // by `D_lb`. With a cascade attached the scan admits every row and
-        // defers all pruning to the cascade's tiers — the same bound runs
-        // there (as the Yi tier) plus whatever tighter tiers the spec adds,
-        // each counted separately.
-        let scan_filter = opts.cascade.is_none();
-        let mut candidates = Vec::new();
-        let mut pruned = 0u64;
-        let mut skipped = 0u64;
-        counters.time(Phase::Filter, || {
-            store.scan_visit(|id, values| {
-                // A tripped budget turns the rest of the scan into skips: the
-                // rows are still read (the scan is one pass), but no filter
-                // CPU is spent and nothing else is admitted to verification.
-                if token.cancelled() {
-                    skipped += 1;
-                    return;
-                }
-                if scan_filter {
-                    stats.lb_evaluations += 1;
-                    stats.filter_ops += (values.len() + query.len()) as u64;
-                    if values.is_empty() || yi_value(&values, query, opts.kind) > epsilon {
-                        pruned += 1;
-                        return;
-                    }
-                }
-                let _ = token
-                    .charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
-                candidates.push((id, values));
-            })
-        })?;
-        counters.add_candidates(pruned + skipped + candidates.len() as u64);
-        counters.add_pruned_lb_yi(pruned);
-        counters.add_skipped_unverified(skipped);
-        stats.candidates = candidates.len();
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
-        let cascade = opts.arm_cascade(query);
-        let (matches, verify_stats) =
-            VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
-                .with_cascade(cascade.as_deref())
-                .run(&candidates, &counters, &token);
-        stats.accumulate(&verify_stats);
-        stats.cpu_time = started.elapsed();
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        Ok(SearchOutcome {
-            matches,
-            stats,
-            plan: None,
-            health: EngineHealth::Healthy,
-            query_stats: counters.snapshot(),
-            termination: termination_of(&token),
-        })
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let rows = scan_rows(
+            store,
+            &mut scope,
+            query,
+            epsilon,
+            opts,
+            opts.cascade.is_none(),
+        )?;
+        let matches = scope.refine(rows, query, epsilon, opts)?;
+        Ok(scope.finish(matches))
     }
 }
 

@@ -9,10 +9,10 @@
 
 mod engine;
 mod fastmap_search;
-mod hybrid;
 mod knn;
 mod lb_scan;
 mod naive_scan;
+pub(crate) mod pipeline;
 mod resilient;
 mod sharded;
 mod st_filter;
@@ -22,7 +22,6 @@ mod verify;
 
 pub use engine::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome};
 pub use fastmap_search::{false_dismissals, FastMapSearch};
-pub use hybrid::{HybridPlan, HybridSearch};
 pub use knn::{KnnMatch, KnnOutcome, ShardedKnnOutcome};
 pub use lb_scan::LbScan;
 pub use naive_scan::NaiveScan;

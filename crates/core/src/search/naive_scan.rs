@@ -7,11 +7,10 @@
 
 use tw_storage::{Pager, SequenceStore};
 
-use crate::error::{validate_query, validate_tolerance, TwError};
-use crate::govern::termination_of;
-use crate::search::verify::VerifyJob;
-use crate::search::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats};
-use crate::stats::{wall_now, Phase, PipelineCounters};
+use crate::error::TwError;
+use crate::search::lb_scan::scan_rows;
+use crate::search::pipeline::Scope;
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome};
 
 /// The sequential-scan baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,47 +28,15 @@ impl<P: Pager> SearchEngine<P> for NaiveScan {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
-        let mut stats = SearchStats {
-            db_size: store.len(),
-            ..Default::default()
-        };
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
         // No filtering step: every stored sequence goes to verification.
-        let rows = counters.time(Phase::Fetch, || store.scan())?;
-        stats.io = store.take_io();
-        counters.add_candidates(rows.len() as u64);
-        counters.add_pager_reads(stats.io.total_pages());
-        for (_, values) in &rows {
-            if token.charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64) {
-                break;
-            }
-        }
-        let cascade = opts.arm_cascade(query);
-        let (matches, verify_stats) =
-            VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
-                .with_cascade(cascade.as_deref())
-                .run(&rows, &counters, &token);
-        stats.accumulate(&verify_stats);
+        let rows = scan_rows(store, &mut scope, query, epsilon, opts, false)?;
+        let matches = scope.refine(rows, query, epsilon, opts)?;
+        let mut outcome = scope.finish(matches);
         // Naive-Scan has no filtering step: the paper plots its final result
         // count as its candidate count (Experiment 1).
-        stats.candidates = matches.len();
-        stats.cpu_time = started.elapsed();
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        Ok(SearchOutcome {
-            matches,
-            stats,
-            plan: None,
-            health: EngineHealth::Healthy,
-            query_stats: counters.snapshot(),
-            termination: termination_of(&token),
-        })
+        outcome.stats.candidates = outcome.matches.len();
+        Ok(outcome)
     }
 }
 

@@ -23,7 +23,8 @@
 //! the index filter) and [`ResilientSearch::refine`] (fetch, cascade and
 //! verify, or the fallback), so the shard fan-out can size the work from
 //! the probe before it spends a thread on it. `range_search` is the two
-//! back to back.
+//! back to back. A fallback after a failed index path runs under the
+//! probe's token: the query's budget covers both paths, not each.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -32,23 +33,26 @@ use tw_storage::{Pager, SequenceStore};
 
 use crate::error::TwError;
 use crate::govern::{Admission, AdmissionGate, AdmissionPermit, Termination};
-use crate::search::tw_sim_search::Filtered;
+use crate::search::pipeline::Filtered;
 use crate::search::{EngineHealth, EngineOpts, LbScan, SearchEngine, SearchOutcome, TwSimSearch};
 
 /// A query admitted (or shed) by a [`ResilientSearch`] and, on the index
 /// path, already filtered. An admission permit inside is held until
 /// [`ResilientSearch::refine`] returns.
-#[derive(Debug)]
-pub(crate) enum Probe {
+// The large variant is the common one (every indexed query, once per
+// shard); boxing it would add an allocation there to shrink the rare shed
+// and offline probes.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Probe<'s, P: Pager> {
     /// The admission gate shed the query.
     Shed,
     /// The index is offline: the refine step is an LB-Scan of the store.
     Offline(Option<AdmissionPermit>),
     /// The index proposed these candidates.
-    Filtered(Option<AdmissionPermit>, Filtered),
+    Filtered(Option<AdmissionPermit>, Filtered<'s, P>),
 }
 
-impl Probe {
+impl<P: Pager> Probe<'_, P> {
     /// Sequences the refine step will consider: the index's proposals,
     /// the whole store (`store_len`) when the index is offline, none when
     /// shed.
@@ -142,12 +146,13 @@ impl ResilientSearch {
     /// The first half of a query: admission control (a shed query never
     /// touches the store), then — when the index is online — the query's
     /// validation and the R-tree filter.
-    pub(crate) fn probe(
+    pub(crate) fn probe<'s, P: Pager>(
         &self,
+        store: &'s SequenceStore<P>,
         query: &[f64],
         epsilon: f64,
         opts: &EngineOpts,
-    ) -> Result<Probe, TwError> {
+    ) -> Result<Probe<'s, P>, TwError> {
         let permit = match &self.gate {
             Some(gate) => match gate.admit() {
                 Admission::Granted(permit) => Some(permit),
@@ -156,7 +161,7 @@ impl ResilientSearch {
             None => None,
         };
         Ok(match &self.primary {
-            Some(primary) => Probe::Filtered(permit, primary.filter(query, epsilon, opts)?),
+            Some(primary) => Probe::Filtered(permit, primary.propose(store, query, epsilon, opts)?),
             None => Probe::Offline(permit),
         })
     }
@@ -167,7 +172,7 @@ impl ResilientSearch {
     pub(crate) fn refine<P: Pager>(
         &self,
         store: &SequenceStore<P>,
-        probe: Probe,
+        probe: Probe<'_, P>,
         query: &[f64],
         epsilon: f64,
         opts: &EngineOpts,
@@ -185,14 +190,16 @@ impl ResilientSearch {
                 Self::fall_back(store, query, epsilon, opts, reason)
             }
             Probe::Filtered(_permit, filtered) => {
-                match filtered.refine(store, query, epsilon, opts) {
+                let token = filtered.token().clone();
+                match filtered.refine(query, epsilon, opts) {
                     Ok(outcome) => Ok(outcome),
                     Err(err) if Self::recoverable(&err) => {
                         let reason = format!("index path failed: {err}");
+                        let opts = opts.clone().shared_token(token);
                         // If the store itself is unreadable the scan fails
                         // too; the original error explains more than the
                         // scan's would.
-                        Self::fall_back(store, query, epsilon, opts, reason).map_err(|_| err)
+                        Self::fall_back(store, query, epsilon, &opts, reason).map_err(|_| err)
                     }
                     Err(err) => Err(err),
                 }
@@ -228,7 +235,7 @@ impl<P: Pager> SearchEngine<P> for ResilientSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        let probe = self.probe(query, epsilon, opts)?;
+        let probe = self.probe(store, query, epsilon, opts)?;
         self.refine(store, probe, query, epsilon, opts)
     }
 }
@@ -237,7 +244,8 @@ impl<P: Pager> SearchEngine<P> for ResilientSearch {
 mod tests {
     use super::*;
     use crate::distance::DtwKind;
-    use tw_storage::{MemPager, SequenceStore};
+    use crate::govern::QueryBudget;
+    use tw_storage::{FaultConfig, FaultKind, FaultPager, MemPager, SequenceStore};
 
     fn store_with(data: &[Vec<f64>]) -> SequenceStore<MemPager> {
         let mut store = SequenceStore::in_memory();
@@ -367,6 +375,50 @@ mod tests {
         // pipeline and the distant ones were pruned by Yi's bound.
         assert_eq!(out.query_stats.candidates, 4);
         assert_eq!(out.query_stats.index_node_accesses(), 0);
+    }
+
+    /// Runs one query whose index path fails on its first pager read:
+    /// 24 sequences on a fault injector behind a one-page pool, so every
+    /// fetch is a read. Returns the outcome and the pool misses it cost.
+    fn fail_index_path_once(budget: Option<QueryBudget>) -> (SearchOutcome, u64) {
+        let (pager, handle) = FaultPager::new(MemPager::new(256), FaultConfig::quiet(3));
+        let mut store = SequenceStore::create(pager, 1).unwrap();
+        for i in 0..24u32 {
+            let base = f64::from(i % 6);
+            store
+                .append(&[base, base + 0.5, base + 0.2, base + 0.9])
+                .unwrap();
+        }
+        store.flush().unwrap();
+        let engine = ResilientSearch::new(TwSimSearch::build(&store).unwrap());
+        handle.force_read(FaultKind::Transient);
+        store.reset_buffer_stats();
+        let mut opts = EngineOpts::new();
+        if let Some(budget) = budget {
+            opts = opts.budget(budget);
+        }
+        let out = engine
+            .range_search(&store, &[2.0, 2.5, 2.2, 2.9], 1.0, &opts)
+            .unwrap();
+        assert!(out.health.is_degraded(), "{:?}", out.health);
+        (out, store.buffer_stats().misses)
+    }
+
+    #[test]
+    fn the_fallback_spends_the_index_paths_budget() {
+        let (free, misses) = fail_index_path_once(None);
+        assert!(free.termination.is_complete());
+        // The scan alone misses fewer pages than the whole query did; the
+        // failed index read is what tips the query over the cap.
+        let cap = QueryBudget::new().max_pager_reads(misses - 1);
+        let (out, _) = fail_index_path_once(Some(cap));
+        assert!(!out.termination.is_complete(), "{:?}", out.query_stats);
+        assert!(
+            out.query_stats.accounting_balanced(),
+            "{:?}",
+            out.query_stats
+        );
+        assert!(out.matches.iter().all(|m| free.matches.contains(m)));
     }
 
     #[test]

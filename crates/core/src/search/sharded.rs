@@ -259,13 +259,13 @@ impl<S: Pager + Send> ShardedSearch<S> {
         epsilon: f64,
         shard_opts: &[EngineOpts],
         threads: usize,
-    ) -> Result<(Vec<Probe>, usize), TwError> {
+    ) -> Result<(Vec<Probe<'_, S>>, usize), TwError> {
         let ceiling = threads.min(self.shards.len());
         let cells_per_proposal = (query.len() as u64).saturating_pow(2);
         let mut cells = 0u64;
         let mut probes = Vec::with_capacity(self.shards.len());
         for (shard, opts) in self.shards.iter().zip(shard_opts) {
-            let probe = shard.engine.probe(query, epsilon, opts)?;
+            let probe = shard.engine.probe(&shard.store, query, epsilon, opts)?;
             let proposed = probe.proposed(shard.store.len()) as u64;
             cells = cells.saturating_add(proposed.saturating_mul(cells_per_proposal));
             probes.push(probe);
@@ -343,7 +343,7 @@ impl<S: Pager + Send> ShardedSearch<S> {
         let results = Self::fan_out(jobs, workers, |(shard, opts, probe)| {
             let probe = match probe {
                 Some(probe) => probe,
-                None => shard.engine.probe(query, epsilon, opts)?,
+                None => shard.engine.probe(&shard.store, query, epsilon, opts)?,
             };
             shard
                 .engine
@@ -687,12 +687,12 @@ mod tests {
     }
 
     /// Probes `sharded` the way `range_search_sharded` does.
-    fn probe<S: Pager + Send>(
-        sharded: &ShardedSearch<S>,
+    fn probe<'s, S: Pager + Send>(
+        sharded: &'s ShardedSearch<S>,
         query: &[f64],
         eps: f64,
         threads: usize,
-    ) -> (Vec<Probe>, usize) {
+    ) -> (Vec<Probe<'s, S>>, usize) {
         let token = CancelToken::unlimited();
         let opts = EngineOpts::new();
         let shard_opts: Vec<EngineOpts> = sharded

@@ -15,14 +15,11 @@ use tw_storage::{Pager, SequenceStore};
 use tw_suffix::{CategoryMethod, StFilter};
 
 use crate::distance::{dtw_within_governed, DtwKind};
-use crate::error::{validate_query, validate_tolerance, TwError};
-use crate::govern::termination_of;
+use crate::error::TwError;
+use crate::search::pipeline::{Proposals, Scope};
 use crate::search::subsequence::SubsequenceOutcome;
-use crate::search::verify::VerifyJob;
-use crate::search::{
-    EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats, SubsequenceMatch,
-};
-use crate::stats::{wall_now, Phase, PipelineCounters};
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome, SearchStats, SubsequenceMatch};
+use crate::stats::Phase;
 
 /// The suffix-tree baseline engine.
 #[derive(Debug, Clone)]
@@ -94,18 +91,8 @@ impl StFilterSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
-        let mut stats = SearchStats {
-            db_size: store.len(),
-            ..Default::default()
-        };
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let (token, counters, stats) = (&scope.token, &scope.counters, &mut scope.stats);
         let filtered = counters.time(Phase::Filter, || {
             self.filter.subsequence_candidates(query, epsilon)
         });
@@ -131,8 +118,7 @@ impl StFilterSearch {
                 break;
             }
             let values = store.get(id)?;
-            let _ =
-                token.charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
+            let _ = token.charge_candidate_bytes(std::mem::size_of_val(values.as_slice()) as u64);
             for (offset, len) in windows {
                 if token.cancelled() {
                     break 'candidates;
@@ -145,13 +131,8 @@ impl StFilterSearch {
                 let mut proposal_abandoned = false;
                 let mut proposal_cancelled = false;
                 for end in (offset + len)..=values.len() {
-                    let outcome = dtw_within_governed(
-                        &values[offset..end],
-                        query,
-                        opts.kind,
-                        epsilon,
-                        &token,
-                    );
+                    let outcome =
+                        dtw_within_governed(&values[offset..end], query, opts.kind, epsilon, token);
                     stats.dtw_cells += outcome.cells;
                     counters.add_dtw_cells(outcome.cells);
                     if outcome.cancelled {
@@ -185,15 +166,12 @@ impl StFilterSearch {
         counters.add_skipped_unverified(total_windows - decided);
         matches.sort_by_key(|m| (m.id, m.offset, m.len));
         matches.dedup_by_key(|m| (m.id, m.offset, m.len));
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        stats.cpu_time = started.elapsed();
+        let out = scope.finish(Vec::new());
         Ok(SubsequenceOutcome {
             matches,
-            stats,
-            query_stats: counters.snapshot(),
-            termination: termination_of(&token),
+            stats: out.stats,
+            query_stats: out.query_stats,
+            termination: out.termination,
         })
     }
 }
@@ -210,69 +188,23 @@ impl<P: Pager> SearchEngine<P> for StFilterSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
-        let mut stats = SearchStats {
-            db_size: store.len(),
-            ..Default::default()
-        };
-
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
         // The tree traversal's DP is a max-aggregation lower bound, which
         // also lower-bounds the additive kinds (a sum of non-negative terms
         // dominates its maximum) — the filter stays sound for every kind.
-        let filtered = counters.time(Phase::Filter, || {
+        let filtered = scope.counters.time(Phase::Filter, || {
             self.filter.whole_match_candidates(query, epsilon)
         });
-        stats.index_node_accesses = filtered.stats.nodes_visited;
         // The suffix tree has no internal/leaf split in its traversal stats;
         // its node visits are recorded as internal accesses.
-        counters.add_index_internal(filtered.stats.nodes_visited);
-        stats.filter_ops = filtered.stats.dp_cells;
-        stats.candidates = filtered.ids.len();
-        counters.add_candidates(filtered.ids.len() as u64);
-        let proposed = filtered.ids.len() as u64;
-
-        let candidates = counters.time(Phase::Fetch, || {
-            let mut candidates = Vec::with_capacity(filtered.ids.len());
-            for id in filtered.ids {
-                // A tripped budget stops the fetch: unread proposals are
-                // ledgered as skipped below.
-                if token.cancelled() {
-                    break;
-                }
-                let id = id as u64;
-                let values = store.get(id)?;
-                let _ = token
-                    .charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
-                candidates.push((id, values));
-            }
-            Ok::<_, TwError>(candidates)
-        })?;
-        counters.add_skipped_unverified(proposed - candidates.len() as u64);
-        let cascade = opts.arm_cascade(query);
-        let (matches, verify_stats) =
-            VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
-                .with_cascade(cascade.as_deref())
-                .run(&candidates, &counters, &token);
-        stats.accumulate(&verify_stats);
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        stats.cpu_time = started.elapsed();
-        Ok(SearchOutcome {
-            matches,
-            stats,
-            plan: None,
-            health: EngineHealth::Healthy,
-            query_stats: counters.snapshot(),
-            termination: termination_of(&token),
-        })
+        scope.stats.index_node_accesses = filtered.stats.nodes_visited;
+        scope
+            .counters
+            .add_index_internal(filtered.stats.nodes_visited);
+        scope.stats.filter_ops = filtered.stats.dp_cells;
+        let ids = filtered.ids.into_iter().map(|id| id as u64).collect();
+        let matches = scope.refine(Proposals::Ids(ids), query, epsilon, opts)?;
+        Ok(scope.finish(matches))
     }
 }
 

@@ -13,11 +13,12 @@ use tw_rtree::{Point, RTree};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw_within_governed, DtwKind};
-use crate::error::{validate_query, validate_tolerance, TwError};
+use crate::error::TwError;
 use crate::feature::FeatureVector;
-use crate::govern::{termination_of, Termination};
+use crate::govern::Termination;
+use crate::search::pipeline::Scope;
 use crate::search::{EngineOpts, SearchStats, TwSimSearch};
-use crate::stats::{wall_now, Phase, PipelineCounters, QueryStats};
+use crate::stats::{Phase, QueryStats};
 
 /// Which windows to index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,18 +183,9 @@ impl SubsequenceIndex {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let started = wall_now();
-        let token = opts.arm_budget();
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let counters = PipelineCounters::new();
-        let mut stats = SearchStats {
-            db_size: self.windows_indexed,
-            ..Default::default()
-        };
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let (token, counters, stats) = (&scope.token, &scope.counters, &mut scope.stats);
+        stats.db_size = self.windows_indexed;
         let q_point = FeatureVector::from_values(query).as_point();
         let range = counters.time(Phase::Filter, || {
             self.tree.range_centered(&q_point, epsilon)
@@ -220,14 +212,13 @@ impl SubsequenceIndex {
                 break;
             }
             let values = store.get(id)?;
-            let _ =
-                token.charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
+            let _ = token.charge_candidate_bytes(std::mem::size_of_val(values.as_slice()) as u64);
             for (offset, len) in windows {
                 if token.cancelled() {
                     break 'candidates;
                 }
                 let window = &values[offset..offset + len];
-                let outcome = dtw_within_governed(window, query, opts.kind, epsilon, &token);
+                let outcome = dtw_within_governed(window, query, opts.kind, epsilon, token);
                 stats.dtw_cells += outcome.cells;
                 counters.add_dtw_cells(outcome.cells);
                 if outcome.cancelled {
@@ -254,15 +245,12 @@ impl SubsequenceIndex {
         // Every proposed window that never got a verdict — unreached or cut
         // mid-DTW — is skipped, keeping the accounting invariant balanced.
         counters.add_skipped_unverified(total_windows - (verified + abandoned));
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        stats.cpu_time = started.elapsed();
+        let out = scope.finish(Vec::new());
         Ok(SubsequenceOutcome {
             matches,
-            stats,
-            query_stats: counters.snapshot(),
-            termination: termination_of(&token),
+            stats: out.stats,
+            query_stats: out.query_stats,
+            termination: out.termination,
         })
     }
 }

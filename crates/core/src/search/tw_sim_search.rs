@@ -12,22 +12,22 @@
 //! 3. read each candidate sequence and verify with the exact (early-
 //!    abandoned) time-warping distance.
 //!
-//! Steps 1–2 are [`TwSimSearch::filter`] and step 3 is [`Filtered::refine`];
-//! `range_search` runs one after the other. A caller that must size the
-//! refine work before starting it — the shard fan-out deciding whether a
-//! query pays for a thread — runs the two halves itself.
+//! Steps 1–2 are [`TwSimSearch::propose`], this engine's candidate source;
+//! step 3 is the shared refine step (`search/pipeline.rs`). `range_search`
+//! runs one after the other. A caller that must size the refine work before
+//! starting it — the shard fan-out deciding whether a query pays for a
+//! thread — runs the two halves itself.
 
 use std::path::Path;
 
 use tw_rtree::{read_tree_file, write_tree_file, Point, RTree, RTreeConfig, SplitAlgorithm};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
-use crate::error::{validate_query, validate_tolerance, TwError};
+use crate::error::TwError;
 use crate::feature::FeatureVector;
-use crate::govern::{termination_of, CancelToken};
-use crate::search::verify::VerifyJob;
-use crate::search::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats};
-use crate::stats::{wall_now, Phase, PipelineCounters};
+use crate::search::pipeline::{Filtered, Proposals, Scope};
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome};
+use crate::stats::Phase;
 
 /// How TW-Sim-Search verifies candidates after the index filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,121 +166,24 @@ impl TwSimSearch {
         &self.tree
     }
 
-    /// Steps 1–2 of Algorithm 1: validates the query, arms its budget and
-    /// runs the square range query. The index counters, the proposals and
-    /// the `Phase::Filter` time go into the returned [`Filtered`], which
-    /// [`Filtered::refine`] finishes.
-    pub(crate) fn filter(
+    /// Steps 1–2 of Algorithm 1: opens the query's scope over `store` and
+    /// runs the square range query. The proposals are the tree's own id
+    /// vector; the index counters and the `Phase::Filter` time are already
+    /// in the scope.
+    pub(crate) fn propose<'s, P: Pager>(
         &self,
+        store: &'s SequenceStore<P>,
         query: &[f64],
         epsilon: f64,
         opts: &EngineOpts,
-    ) -> Result<Filtered, TwError> {
-        validate_tolerance(epsilon)?;
-        validate_query(query)?;
-        let token = opts.arm_budget();
-        let counters = PipelineCounters::new();
-        let range = counters.time(Phase::Filter, || {
+    ) -> Result<Filtered<'s, P>, TwError> {
+        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let range = scope.counters.time(Phase::Filter, || {
             let feature_q = FeatureVector::from_values(query).as_point();
             self.tree.range_centered(&feature_q, epsilon)
         });
-        counters.add_index_internal(range.stats.internal_accesses);
-        counters.add_index_leaf(range.stats.leaf_accesses);
-        counters.add_candidates(range.ids.len() as u64);
-        Ok(Filtered {
-            ids: range.ids,
-            index_node_accesses: range.stats.node_accesses(),
-            counters,
-            token,
-        })
-    }
-}
-
-/// One query's filtered state between the two halves of Algorithm 1: the
-/// R-tree's proposals, the query's armed token and the counters the tree
-/// walk charged.
-#[derive(Debug)]
-pub(crate) struct Filtered {
-    ids: Vec<SeqId>,
-    index_node_accesses: u64,
-    counters: PipelineCounters,
-    token: CancelToken,
-}
-
-impl Filtered {
-    /// How many sequences the index proposed.
-    pub(crate) fn proposed(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Step 3 of Algorithm 1: fetches every proposal, runs the cascade (if
-    /// armed) and verifies through the shared pipeline. `query`, `epsilon`
-    /// and `opts` must be the ones the filter ran with.
-    pub(crate) fn refine<P: Pager>(
-        self,
-        store: &SequenceStore<P>,
-        query: &[f64],
-        epsilon: f64,
-        opts: &EngineOpts,
-    ) -> Result<SearchOutcome, TwError> {
-        let started = wall_now();
-        let Filtered {
-            ids,
-            index_node_accesses,
-            counters,
-            token,
-        } = self;
-        let _governed = store.govern_scope(&token);
-        store.take_io();
-        let retries_before = store.checksum_retries();
-        let mut stats = SearchStats {
-            db_size: store.len(),
-            candidates: ids.len(),
-            index_node_accesses,
-            ..Default::default()
-        };
-
-        // Without a cascade the index filter *is* the candidate set: nothing
-        // is pruned after it, so candidates == verified + abandoned in the
-        // accounting. With one, the cascade's tiers take a further cut,
-        // counted per tier.
-        let proposed = ids.len() as u64;
-        let candidates = counters.time(Phase::Fetch, || {
-            let mut candidates = Vec::with_capacity(ids.len());
-            for id in ids {
-                // A tripped budget stops the fetch: unread proposals are
-                // ledgered as skipped below.
-                if token.cancelled() {
-                    break;
-                }
-                let values = store.get(id)?;
-                let _ = token
-                    .charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
-                candidates.push((id, values));
-            }
-            Ok::<_, TwError>(candidates)
-        })?;
-        counters.add_skipped_unverified(proposed - candidates.len() as u64);
-        let cascade = opts.arm_cascade(query);
-        let (matches, verify_stats) =
-            VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
-                .with_cascade(cascade.as_deref())
-                .run(&candidates, &counters, &token);
-        stats.accumulate(&verify_stats);
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
-        counters.add_checksum_retries(store.checksum_retries() - retries_before);
-        let query_stats = counters.snapshot();
-        // The filter's own time is its phase timer; the rest is this call.
-        stats.cpu_time = query_stats.phases.filter + started.elapsed();
-        Ok(SearchOutcome {
-            matches,
-            stats,
-            plan: None,
-            health: EngineHealth::Healthy,
-            query_stats,
-            termination: termination_of(&token),
-        })
+        scope.add_index(&range.stats);
+        Ok(Filtered::new(scope, Proposals::Ids(range.ids)))
     }
 }
 
@@ -304,8 +207,8 @@ impl<P: Pager> SearchEngine<P> for TwSimSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        self.filter(query, epsilon, opts)?
-            .refine(store, query, epsilon, opts)
+        self.propose(store, query, epsilon, opts)?
+            .refine(query, epsilon, opts)
     }
 }
 

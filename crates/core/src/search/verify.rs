@@ -61,8 +61,8 @@ pub(crate) fn workers_for(cells: u64, ceiling: usize) -> usize {
 /// One verification request: the query-side parameters every chunk worker
 /// needs, plus the optional per-query [`BoundCascade`].
 ///
-/// Engines build the job from their [`crate::search::EngineOpts`] and call
-/// [`VerifyJob::run`].
+/// The range pipeline (`search/pipeline.rs`) builds the job from the
+/// query's [`crate::search::EngineOpts`] and calls [`VerifyJob::run`].
 pub struct VerifyJob<'a> {
     query: &'a [f64],
     epsilon: f64,
@@ -126,7 +126,8 @@ impl<'a> VerifyJob<'a> {
     ///
     /// Workers receive only the candidate slices, never the store, so the
     /// pipeline works with any pager and charges no I/O of its own:
-    /// candidates arrive already materialized by the engine's filter stage.
+    /// candidates arrive already materialized by the pipeline's fetch or
+    /// the engine's scan.
     ///
     /// Each worker checks `token` before starting a candidate and charges DP
     /// cells as it computes; once the token trips, every remaining candidate

@@ -1,6 +1,6 @@
-//! Every exact engine — Naive-Scan, LB-Scan, ST-Filter, TW-Sim-Search and
-//! the hybrid router — returns an identical result set on realistic
-//! workloads (the paper's correctness claim, checked across data families).
+//! Every exact engine — Naive-Scan, LB-Scan, ST-Filter and TW-Sim-Search —
+//! returns an identical result set on realistic workloads (the paper's
+//! correctness claim, checked across data families).
 //!
 //! All engines run through the unified [`SearchEngine`] trait, and every
 //! workload is repeated at 1, 2 and 4 verification threads: the shared
@@ -9,8 +9,8 @@
 
 use tw_core::distance::DtwKind;
 use tw_core::search::{
-    EngineOpts, FastMapSearch, HybridSearch, LbScan, NaiveScan, ResilientSearch, SearchEngine,
-    ShardedSearch, StFilterSearch, TwSimSearch,
+    EngineOpts, FastMapSearch, LbScan, NaiveScan, ResilientSearch, SearchEngine, ShardedSearch,
+    StFilterSearch, TwSimSearch,
 };
 use tw_core::{BoundTier, CascadeSpec, ConcurrentIngest, TwError};
 use tw_storage::{MemPager, SequenceStore};
@@ -36,7 +36,6 @@ fn exact_engines(store: &SequenceStore<MemPager>) -> Vec<Box<dyn SearchEngine<Me
         Box::new(LbScan),
         Box::new(StFilterSearch::build(store).expect("build st-filter")),
         Box::new(TwSimSearch::build(store).expect("build tw-sim")),
-        Box::new(HybridSearch::build(store).expect("build hybrid")),
     ]
 }
 

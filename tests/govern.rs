@@ -27,8 +27,8 @@ use proptest::prelude::*;
 use tw_core::distance::{dtw, DtwKind};
 use tw_core::govern::{AdmissionGate, BudgetKind, ManualClock, QueryBudget, Termination};
 use tw_core::search::{
-    EngineOpts, FastMapSearch, HybridSearch, LbScan, Match, NaiveScan, ResilientSearch,
-    SearchEngine, StFilterSearch, SubsequenceIndex, TwSimSearch, WindowSpec,
+    EngineOpts, FastMapSearch, LbScan, Match, NaiveScan, ResilientSearch, SearchEngine,
+    StFilterSearch, SubsequenceIndex, TwSimSearch, WindowSpec,
 };
 use tw_storage::{MemPager, SequenceStore};
 use tw_workload::{generate_queries, generate_random_walks, RandomWalkConfig};
@@ -41,7 +41,7 @@ fn store_with(data: &[Vec<f64>]) -> SequenceStore<MemPager> {
     store
 }
 
-/// All seven range engines.
+/// All six range engines.
 fn all_engines(store: &SequenceStore<MemPager>) -> Vec<Box<dyn SearchEngine<MemPager>>> {
     vec![
         Box::new(NaiveScan),
@@ -49,7 +49,6 @@ fn all_engines(store: &SequenceStore<MemPager>) -> Vec<Box<dyn SearchEngine<MemP
         Box::new(StFilterSearch::build(store).expect("build st-filter")),
         Box::new(TwSimSearch::build(store).expect("build tw-sim")),
         Box::new(FastMapSearch::build(store, 2, DtwKind::MaxAbs, 7).expect("fit fastmap")),
-        Box::new(HybridSearch::build(store).expect("build hybrid")),
         Box::new(ResilientSearch::new(
             TwSimSearch::build(store).expect("build tw-sim for resilient"),
         )),
