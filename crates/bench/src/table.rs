@@ -43,6 +43,19 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// The cells of the column headed `header`, top to bottom (empty when
+    /// no column has that header).
+    pub fn column(&self, header: &str) -> Vec<&str> {
+        let Some(i) = self.headers.iter().position(|h| h == header) else {
+            return Vec::new();
+        };
+        self.rows
+            .iter()
+            .filter_map(|row| row.get(i))
+            .map(String::as_str)
+            .collect()
+    }
+
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
