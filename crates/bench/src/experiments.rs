@@ -21,7 +21,7 @@ use tw_workload::{
     RandomWalkConfig, StockConfig,
 };
 
-use crate::runner::{build_store, run_batch, Engines, Method};
+use crate::runner::{build_store, run_batch, Engines, Method, MethodBatch};
 use crate::table::{fmt_pct, fmt_secs, Table};
 
 /// The workspace's `results/` directory, resolved from this crate's
@@ -324,7 +324,10 @@ pub fn ablation_base_distance(config: &ExperimentConfig) -> Table {
                     batch.method.label().to_string(),
                     fmt_secs(batch.mean_modeled_elapsed(&hw)),
                     fmt_secs(batch.mean_cpu()),
-                    format!("{}", batch.stats.dtw_cells / batch.queries.max(1) as u64),
+                    format!(
+                        "{}",
+                        batch.query_stats.dtw_cells / batch.queries.max(1) as u64
+                    ),
                 ]);
             }
         }
@@ -479,19 +482,16 @@ pub fn ablation_categories(config: &ExperimentConfig) -> Table {
             CategoryMethod::EqualWidth,
         )
         .expect("build ST-Filter");
-        let mut stats = tw_core::SearchStats::default();
-        let mut n = 0usize;
+        let mut batch = MethodBatch::new(Method::StFilter);
         let opts = EngineOpts::new().kind(DtwKind::MaxAbs);
         for q in &queries {
-            let r = engine.range_search(&store, q, 0.2, &opts).expect("query");
-            stats.accumulate(&r.stats);
-            n += 1;
+            batch.add(&engine.range_search(&store, q, 0.2, &opts).expect("query"));
         }
         table.push_row(vec![
             format!("{categories}"),
             format!("{}", engine.tree_nodes()),
-            fmt_pct(stats.candidate_ratio() / n.max(1) as f64),
-            fmt_secs(stats.modeled_elapsed(&hw) / n.max(1) as u32),
+            fmt_pct(batch.mean_candidate_ratio()),
+            fmt_secs(batch.mean_modeled_elapsed(&hw)),
         ]);
     }
     config.save(&table, "ablation_categories.csv");
@@ -587,13 +587,14 @@ pub fn subsequence_demo(config: &ExperimentConfig) -> Table {
         let mut candidates = 0usize;
         let mut matches = 0usize;
         let mut cpu = Duration::ZERO;
+        let opts = EngineOpts::new().kind(DtwKind::MaxAbs);
         for q in &raw_queries {
-            let (found, stats) = index
-                .search(&store, q, eps, DtwKind::MaxAbs)
+            let out = index
+                .search_governed(&store, q, eps, &opts)
                 .expect("window query");
-            candidates += stats.candidates;
-            matches += found.len();
-            cpu += stats.cpu_time;
+            candidates += out.stats.candidates;
+            matches += out.matches.len();
+            cpu += out.stats.cpu_time;
         }
         table.push_row(vec![
             format!("{eps}"),

@@ -12,7 +12,7 @@ use tw_core::distance::DtwKind;
 use tw_core::govern::{QueryBudget, Termination};
 use tw_core::search::{
     CorpusSharder, EngineHealth, EngineOpts, NaiveScan, ResilientSearch, SearchEngine,
-    ShardedSearch, SubsequenceIndex, TwSimSearch, WindowSpec,
+    ShardedSearch, SubsequenceIndex, SubsequenceOutcome, TwSimSearch, WindowSpec,
 };
 use tw_core::{IngestHandle, SharedConcurrentIngest, TwError};
 use tw_net::{
@@ -587,8 +587,13 @@ fn subseq(
     let (store, _) = open_store(db)?;
     let spec = WindowSpec::new(min_len, max_len, 2, 1).map_err(fail("window spec"))?;
     let index = SubsequenceIndex::build(&store, spec).map_err(fail("build window index"))?;
-    let (matches, stats) = index
-        .search(&store, values, epsilon, DtwKind::MaxAbs)
+    let SubsequenceOutcome { matches, stats, .. } = index
+        .search_governed(
+            &store,
+            values,
+            epsilon,
+            &EngineOpts::new().kind(DtwKind::MaxAbs),
+        )
         .map_err(fail("subsequence query"))?;
     writeln!(
         out,
@@ -997,7 +1002,7 @@ fn write_query_stats(qs: &tw_core::QueryStats, out: &mut dyn Write) -> Result<()
     writeln!(out, "  verify {:>10.3} ms", ms(qs.phases.verify)).map_err(fail("write"))?;
     writeln!(out, "  total  {:>10.3} ms", ms(qs.phases.total())).map_err(fail("write"))?;
     writeln!(out, "pipeline counters:").map_err(fail("write"))?;
-    let rows: [(&str, u64); 19] = [
+    let rows: [(&str, u64); 21] = [
         ("candidates", qs.candidates),
         ("pruned (lb_kim)", qs.pruned_lb_kim),
         ("pruned (lb_yi)", qs.pruned_lb_yi),
@@ -1007,8 +1012,10 @@ fn write_query_stats(qs: &tw_core::QueryStats, out: &mut dyn Write) -> Result<()
         ("verified", qs.verified),
         ("abandoned", qs.abandoned),
         ("skipped unverified", qs.skipped_unverified),
+        ("refine candidates", qs.refine_candidates),
         ("dtw cells", qs.dtw_cells),
         ("pivot dtw", qs.pivot_dtw),
+        ("filter ops", qs.filter_ops),
         ("index node accesses", qs.index_node_accesses()),
         ("index leaf accesses", qs.index_leaf_accesses),
         ("pager reads", qs.pager_reads),

@@ -12,9 +12,7 @@ use tw_storage::{FilePager, MemPager, Pager, SeqId, SequenceStore, StoreError};
 
 use crate::distance::DtwKind;
 use crate::error::TwError;
-use crate::search::{
-    EngineOpts, KnnMatch, NaiveScan, SearchEngine, SearchResult, SearchStats, TwSimSearch,
-};
+use crate::search::{EngineOpts, KnnOutcome, NaiveScan, SearchEngine, SearchResult, TwSimSearch};
 use crate::sequence::Sequence;
 
 /// A sequence database with its TW-Sim-Search index always in sync.
@@ -150,12 +148,9 @@ impl<P: Pager> TimeWarpDatabase<P> {
     }
 
     /// kNN query: the `k` nearest sequences under the configured recurrence.
-    pub fn nearest(
-        &self,
-        query: &[f64],
-        k: usize,
-    ) -> Result<(Vec<KnnMatch>, SearchStats), TwError> {
-        self.engine.knn(&self.store, query, k, self.kind)
+    pub fn nearest(&self, query: &[f64], k: usize) -> Result<KnnOutcome, TwError> {
+        let opts = EngineOpts::new().kind(self.kind);
+        self.engine.knn_governed(&self.store, query, k, &opts)
     }
 
     /// Exhaustive-scan cross-check (diagnostics; the result always equals
@@ -201,7 +196,10 @@ mod tests {
     fn nearest_returns_sorted_neighbors() {
         let mut db = TimeWarpDatabase::in_memory();
         populate(&mut db);
-        let (nn, _) = db.nearest(&[20.0, 21.0, 20.0, 23.0], 2).expect("knn");
+        let nn = db
+            .nearest(&[20.0, 21.0, 20.0, 23.0], 2)
+            .expect("knn")
+            .matches;
         assert_eq!(nn.len(), 2);
         assert!(nn[0].distance <= nn[1].distance);
         assert_eq!(nn[0].distance, 0.0);

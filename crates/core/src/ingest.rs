@@ -54,7 +54,7 @@ use crate::govern::termination_of;
 use crate::search::pipeline::verify;
 use crate::search::{EngineOpts, SearchEngine, SearchOutcome, TwSimSearch};
 use crate::sequence::Sequence;
-use crate::stats::PipelineCounters;
+use crate::stats::{PipelineCounters, SearchStats};
 
 /// Buffer-pool pages the file-backed constructors give the base store.
 const POOL_PAGES: usize = 256;
@@ -629,9 +629,8 @@ impl<P: Pager> Snapshot<'_, P> {
                 .collect();
             let counters = PipelineCounters::new();
             counters.add_candidates(rows.len() as u64);
-            let (tail_matches, tail_stats) = verify(&rows, query, epsilon, opts, &counters, &token);
-            outcome.stats.candidates += rows.len();
-            outcome.stats.accumulate(&tail_stats);
+            counters.add_refine_candidates(rows.len() as u64);
+            let tail_matches = verify(&rows, query, epsilon, opts, &counters, &token);
             outcome.matches.extend(tail_matches);
             outcome.query_stats.merge(&counters.snapshot());
             // Worst termination wins: a budget that tripped verifying the
@@ -641,7 +640,8 @@ impl<P: Pager> Snapshot<'_, P> {
             }
         }
         outcome.matches.sort_by_key(|m| m.id);
-        outcome.stats.db_size = self.len();
+        let SearchStats { io, cpu_time, .. } = outcome.stats;
+        outcome.stats = SearchStats::from_ledger(&outcome.query_stats, io, self.len(), cpu_time);
         outcome.query_stats.wal_appends = self.wal_appends;
         outcome.query_stats.snapshot_epoch = self.epoch;
         Ok(outcome)

@@ -26,9 +26,11 @@
 //!   parameterized by [`EngineOpts`] (distance kind, verification threads,
 //!   Sakoe–Chiba band, budget, cascade); each is a candidate source in
 //!   front of one governed fetch → cascade → parallel verify pipeline;
-//! * instrumentation ([`SearchStats`]) reporting candidate ratios, DTW
-//!   cells, index node accesses and storage I/O, priced by the disk model in
-//!   `tw-storage` to regenerate the paper's elapsed-time figures.
+//! * instrumentation: one [`QueryStats`] ledger per query, and the
+//!   [`SearchStats`] view derived from it reporting candidate ratios, DTW
+//!   cells, filter work, index node accesses and storage I/O, priced by the
+//!   disk model in `tw-storage` to regenerate the paper's elapsed-time
+//!   figures.
 //!
 //! ## Guarantees
 //!

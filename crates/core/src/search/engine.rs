@@ -244,7 +244,7 @@ impl std::fmt::Display for EngineHealth {
 pub struct SearchOutcome {
     /// Matches sorted by ascending sequence id.
     pub matches: Vec<Match>,
-    /// The engine's work accounting.
+    /// The paper's work accounting, derived from `query_stats`.
     pub stats: SearchStats,
     /// Whether the primary plan answered or an exact fallback did.
     pub health: EngineHealth,
@@ -271,18 +271,6 @@ impl SearchOutcome {
         SearchResult {
             matches: self.matches,
             stats: self.stats,
-        }
-    }
-}
-
-impl From<SearchResult> for SearchOutcome {
-    fn from(result: SearchResult) -> Self {
-        Self {
-            matches: result.matches,
-            stats: result.stats,
-            health: EngineHealth::Healthy,
-            query_stats: QueryStats::default(),
-            termination: Termination::Complete,
         }
     }
 }
@@ -338,25 +326,32 @@ mod tests {
 
     #[test]
     fn outcome_roundtrips_to_result() {
+        let query_stats = QueryStats {
+            refine_candidates: 1,
+            verified: 1,
+            ..Default::default()
+        };
+        let stats = SearchStats::from_ledger(
+            &query_stats,
+            tw_storage::IoProfile::default(),
+            10,
+            std::time::Duration::ZERO,
+        );
         let outcome = SearchOutcome {
             matches: vec![Match {
                 id: 3,
                 distance: 0.25,
             }],
-            stats: SearchStats {
-                db_size: 10,
-                ..Default::default()
-            },
+            stats,
             health: EngineHealth::Healthy,
-            query_stats: QueryStats::default(),
+            query_stats,
             termination: Termination::Complete,
         };
         assert_eq!(outcome.ids(), vec![3]);
         let result = outcome.clone().into_result();
         assert_eq!(result.ids(), vec![3]);
-        let back: SearchOutcome = result.into();
-        assert_eq!(back.stats.db_size, 10);
-        assert!(!back.health.is_degraded());
+        assert_eq!(result.stats, outcome.stats);
+        assert_eq!(result.stats.db_size, 10);
     }
 
     #[test]

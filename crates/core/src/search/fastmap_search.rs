@@ -101,7 +101,7 @@ impl<P: Pager> SearchEngine<P> for FastMapSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let scope = Scope::open(store, query, epsilon, opts)?;
 
         // Embed the query: 2k exact DTW evaluations against pivot sequences.
         // `project` wants an infallible oracle, so a store fault (a failed
@@ -128,8 +128,6 @@ impl<P: Pager> SearchEngine<P> for FastMapSearch {
         if let Some(fault) = pivot_fault {
             return Err(fault);
         }
-        scope.stats.dtw_invocations += pivot_evals;
-        scope.stats.dtw_cells += pivot_dtw_cells;
         scope.counters.add_pivot_dtw(pivot_evals);
         scope.counters.add_dtw_cells(pivot_dtw_cells);
 

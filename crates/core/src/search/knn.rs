@@ -28,9 +28,10 @@
 //!   answer does not depend on the order candidates arrive in.
 
 use std::ops::Range;
+use std::time::Duration;
 
 use tw_rtree::{KnnMetric, Nearest, RTree};
-use tw_storage::{Pager, SeqId, SequenceStore};
+use tw_storage::{IoProfile, Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw_within_governed, DtwKind};
 use crate::error::{validate_query, TwError};
@@ -55,7 +56,7 @@ pub struct KnnOutcome {
     /// Under a tripped budget this may be fewer — or farther — than the true
     /// neighbours, but every reported distance is exact.
     pub matches: Vec<KnnMatch>,
-    /// The legacy work accounting.
+    /// The paper's work accounting, derived from `query_stats`.
     pub stats: SearchStats,
     /// Per-phase observability breakdown; sequences fetched for exact
     /// verification are the "candidates", each one `verified` (its DP ran
@@ -123,8 +124,9 @@ struct Active<'a, P: Pager> {
 
 impl<P: Pager> Active<'_, P> {
     /// Closes the source's scope — index accesses, pager traffic — and
-    /// hands it its share of the global `best`.
-    fn finish(mut self, best: &[KnnMatch]) -> KnnOutcome {
+    /// hands it its share of the global `best`. The sources share one
+    /// interleaved loop, so no time is attributed to one of them.
+    fn finish(self, best: &[KnnMatch]) -> KnnOutcome {
         let store = self.source.store;
         if let Frontier::Index(cursor) = &self.frontier {
             self.scope.add_index(&cursor.stats());
@@ -137,14 +139,12 @@ impl<P: Pager> Active<'_, P> {
                 .filter(|m| ids.contains(&m.id))
                 .copied()
                 .collect(),
-            // Every candidate starts exactly one DP.
-            stats: SearchStats {
-                candidates: usize::try_from(out.query_stats.candidates).unwrap_or(usize::MAX),
-                dtw_invocations: out.query_stats.candidates,
-                dtw_cells: out.query_stats.dtw_cells,
-                cpu_time: Default::default(),
-                ..out.stats
-            },
+            stats: SearchStats::from_ledger(
+                &out.query_stats,
+                out.stats.io,
+                out.stats.db_size,
+                Duration::ZERO,
+            ),
             query_stats: out.query_stats,
             termination: out.termination,
         }
@@ -199,6 +199,7 @@ pub(crate) fn knn_best_first<P: Pager>(
         let _ = token.charge_candidate_bytes(std::mem::size_of_val(values.as_slice()) as u64);
         let counters = &nearest.scope.counters;
         counters.add_candidates(1);
+        counters.add_refine_candidates(1);
         // One ulp of slack: the kernel compares `SumSquared` tables against
         // `threshold²`, and `sqrt(x)² < x` for about half of all `x`, which
         // would abandon a candidate tied with the k-th best exactly.
@@ -233,40 +234,31 @@ pub(crate) fn knn_best_first<P: Pager>(
     }
 
     let per_shard: Vec<KnnOutcome> = active.into_iter().map(|a| a.finish(&best)).collect();
-    let mut merged = KnnOutcome {
-        matches: best,
-        termination: termination_of(token),
-        ..Default::default()
-    };
+    let mut query_stats = QueryStats::default();
+    let mut io = IoProfile::default();
     for out in &per_shard {
-        merged.stats.accumulate(&out.stats);
-        merged.query_stats.merge(&out.query_stats);
+        query_stats.merge(&out.query_stats);
+        io.add(&out.stats.io);
     }
-    merged.stats.db_size = per_shard.iter().map(|o| o.stats.db_size).sum();
-    merged.stats.cpu_time = started.elapsed();
+    let db_size = per_shard.iter().map(|o| o.stats.db_size).sum();
+    let merged = KnnOutcome {
+        matches: best,
+        stats: SearchStats::from_ledger(&query_stats, io, db_size, started.elapsed()),
+        query_stats,
+        termination: termination_of(token),
+    };
     Ok(ShardedKnnOutcome { merged, per_shard })
 }
 
 impl TwSimSearch {
     /// Finds the `k` sequences with the smallest time-warping distance to
-    /// `query`, ascending by `(distance, id)`: among sequences tied at the
-    /// k-th distance the smaller ids are kept.
-    pub fn knn<P: Pager>(
-        &self,
-        store: &SequenceStore<P>,
-        query: &[f64],
-        k: usize,
-        kind: DtwKind,
-    ) -> Result<(Vec<KnnMatch>, SearchStats), TwError> {
-        let outcome = self.knn_governed(store, query, k, &EngineOpts::new().kind(kind))?;
-        Ok((outcome.matches, outcome.stats))
-    }
-
-    /// [`Self::knn`] with the full option set: honours `opts.budget`
-    /// (stopping the refinement early — mid-DP if need be — with whatever
-    /// exact neighbours it has) and reports the [`QueryStats`] ledger.
-    /// `opts.threads` is not consulted: the search is one sequential
-    /// best-first stream.
+    /// `query` under `opts.kind`, ascending by `(distance, id)`: among
+    /// sequences tied at the k-th distance the smaller ids are kept.
+    ///
+    /// Honours `opts.budget` (stopping the refinement early — mid-DP if
+    /// need be — with whatever exact neighbours it has) and reports the
+    /// [`QueryStats`] ledger. `opts.threads` is not consulted: the search
+    /// is one sequential best-first stream.
     pub fn knn_governed<P: Pager>(
         &self,
         store: &SequenceStore<P>,
@@ -312,6 +304,18 @@ mod tests {
         all
     }
 
+    fn knn(
+        engine: &TwSimSearch,
+        store: &SequenceStore<tw_storage::MemPager>,
+        query: &[f64],
+        k: usize,
+        kind: DtwKind,
+    ) -> KnnOutcome {
+        engine
+            .knn_governed(store, query, k, &EngineOpts::new().kind(kind))
+            .unwrap()
+    }
+
     fn db() -> Vec<Vec<f64>> {
         (0..60)
             .map(|i| {
@@ -331,7 +335,7 @@ mod tests {
         let query = vec![6.1, 6.4, 6.9, 6.2];
         for k in [1usize, 3, 10] {
             for kind in [DtwKind::MaxAbs, DtwKind::SumAbs, DtwKind::SumSquared] {
-                let (got, _) = engine.knn(&store, &query, k, kind).unwrap();
+                let got = knn(&engine, &store, &query, k, kind).matches;
                 assert_eq!(got, brute_knn(&data, &query, k, kind), "{kind:?} k={k}");
             }
         }
@@ -349,7 +353,7 @@ mod tests {
             let engine = TwSimSearch::build(&store).unwrap();
             let query = generate_queries(&base, 1, seed ^ 77).remove(0);
             let kind = DtwKind::SumSquared;
-            let (got, _) = engine.knn(&store, &query, 2, kind).unwrap();
+            let got = knn(&engine, &store, &query, 2, kind).matches;
             assert_eq!(got, brute_knn(&data, &query, 2, kind), "seed {seed}");
         }
     }
@@ -419,9 +423,7 @@ mod tests {
     fn knn_results_sorted() {
         let store = store_with(&db());
         let engine = TwSimSearch::build(&store).unwrap();
-        let (got, _) = engine
-            .knn(&store, &[3.0, 3.3, 3.8, 3.1], 8, DtwKind::MaxAbs)
-            .unwrap();
+        let got = knn(&engine, &store, &[3.0, 3.3, 3.8, 3.1], 8, DtwKind::MaxAbs).matches;
         for w in got.windows(2) {
             assert!(w[0].distance <= w[1].distance);
         }
@@ -432,9 +434,14 @@ mod tests {
         let data = db();
         let store = store_with(&data);
         let engine = TwSimSearch::build(&store).unwrap();
-        let (got, _) = engine
-            .knn(&store, &[1.0, 2.0], data.len() + 50, DtwKind::MaxAbs)
-            .unwrap();
+        let got = knn(
+            &engine,
+            &store,
+            &[1.0, 2.0],
+            data.len() + 50,
+            DtwKind::MaxAbs,
+        )
+        .matches;
         assert_eq!(got.len(), data.len());
     }
 
@@ -442,22 +449,22 @@ mod tests {
     fn knn_zero_k_and_empty_db() {
         let store = store_with(&db());
         let engine = TwSimSearch::build(&store).unwrap();
-        let (got, _) = engine.knn(&store, &[1.0], 0, DtwKind::MaxAbs).unwrap();
-        assert!(got.is_empty());
+        assert!(knn(&engine, &store, &[1.0], 0, DtwKind::MaxAbs)
+            .matches
+            .is_empty());
 
         let empty = SequenceStore::in_memory();
         let engine2 = TwSimSearch::build(&empty).unwrap();
-        let (got2, _) = engine2.knn(&empty, &[1.0], 3, DtwKind::MaxAbs).unwrap();
-        assert!(got2.is_empty());
+        assert!(knn(&engine2, &empty, &[1.0], 3, DtwKind::MaxAbs)
+            .matches
+            .is_empty());
     }
 
     #[test]
     fn knn_verifies_fewer_than_db_when_selective() {
         let store = store_with(&db());
         let engine = TwSimSearch::build(&store).unwrap();
-        let (_, stats) = engine
-            .knn(&store, &[6.1, 6.4, 6.9, 6.2], 2, DtwKind::MaxAbs)
-            .unwrap();
+        let stats = knn(&engine, &store, &[6.1, 6.4, 6.9, 6.2], 2, DtwKind::MaxAbs).stats;
         assert!(
             stats.dtw_invocations < store.len() as u64,
             "verified {} of {}",

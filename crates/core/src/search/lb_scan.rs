@@ -8,7 +8,7 @@
 
 use tw_storage::{Pager, SequenceStore};
 
-use crate::bound::yi_value;
+use crate::bound::{yi_value, BoundTier};
 use crate::error::TwError;
 use crate::search::pipeline::{Proposals, Scope};
 use crate::search::{EngineOpts, SearchEngine, SearchOutcome};
@@ -27,16 +27,17 @@ pub struct LbScan;
 /// no filter CPU is spent on them and none is proposed.
 pub(crate) fn scan_rows<P: Pager>(
     store: &SequenceStore<P>,
-    scope: &mut Scope<'_, P>,
+    scope: &Scope<'_, P>,
     query: &[f64],
     epsilon: f64,
     opts: &EngineOpts,
     yi: bool,
 ) -> Result<Proposals, TwError> {
-    let (token, stats) = (&scope.token, &mut scope.stats);
+    let token = &scope.token;
     let mut rows = Vec::new();
     let mut pruned = 0u64;
     let mut skipped = 0u64;
+    let mut filter_ops = 0u64;
     let phase = if yi { Phase::Filter } else { Phase::Fetch };
     scope.counters.time(phase, || {
         store.scan_visit(|id, values| {
@@ -45,8 +46,7 @@ pub(crate) fn scan_rows<P: Pager>(
                 return;
             }
             if yi {
-                stats.lb_evaluations += 1;
-                stats.filter_ops += (values.len() + query.len()) as u64;
+                filter_ops += (values.len() + query.len()) as u64;
                 if values.is_empty() || yi_value(&values, query, opts.kind) > epsilon {
                     pruned += 1;
                     return;
@@ -57,8 +57,9 @@ pub(crate) fn scan_rows<P: Pager>(
         })
     })?;
     scope.counters.add_candidates(pruned + skipped);
-    scope.counters.add_pruned_lb_yi(pruned);
+    scope.counters.add_pruned(BoundTier::Yi, pruned);
     scope.counters.add_skipped_unverified(skipped);
+    scope.counters.add_filter_ops(filter_ops);
     Ok(Proposals::Rows(rows))
 }
 
@@ -78,15 +79,8 @@ impl<P: Pager> SearchEngine<P> for LbScan {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        let mut scope = Scope::open(store, query, epsilon, opts)?;
-        let rows = scan_rows(
-            store,
-            &mut scope,
-            query,
-            epsilon,
-            opts,
-            opts.cascade.is_none(),
-        )?;
+        let scope = Scope::open(store, query, epsilon, opts)?;
+        let rows = scan_rows(store, &scope, query, epsilon, opts, opts.cascade.is_none())?;
         let matches = scope.refine(rows, query, epsilon, opts)?;
         Ok(scope.finish(matches))
     }
@@ -138,7 +132,8 @@ mod tests {
         // Sequences 2 (5..7) and 4 (40..42) are range-separated: LB prunes
         // them without any DTW call.
         assert!(res.stats.dtw_invocations <= 3, "{:?}", res.stats);
-        assert_eq!(res.stats.lb_evaluations, 5);
+        // One `D_lb` evaluation per row: |S| + |Q| element operations each.
+        assert_eq!(res.stats.filter_ops, (5 + 6 + 3 + 4 + 3) + 5 * 4);
         assert!(res.stats.candidates < res.stats.db_size);
     }
 

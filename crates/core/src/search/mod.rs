@@ -5,7 +5,8 @@
 //! All exact engines answer the same question (§4.1): given a query sequence
 //! `Q` and tolerance `ε`, find every data sequence `S` with
 //! `D_tw(S, Q) <= ε`. They differ in *how much work* they spend doing it,
-//! which is what [`SearchStats`] captures.
+//! which is what their [`crate::stats::QueryStats`] ledger records and the
+//! derived [`SearchStats`] view reports.
 
 mod engine;
 mod fastmap_search;
@@ -32,79 +33,15 @@ pub use subsequence::{SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, Wi
 pub use tw_sim_search::{TwSimSearch, VerifyMode};
 pub use verify::VerifyJob;
 
-use std::time::Duration;
+pub use crate::stats::SearchStats;
 
-use tw_storage::{HardwareModel, IoProfile, SeqId};
+use tw_storage::SeqId;
 
 /// A qualifying sequence with its exact time-warping distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Match {
     pub id: SeqId,
     pub distance: f64,
-}
-
-/// Work accounting for one query, the currency of the paper's figures.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SearchStats {
-    /// Database size at query time (denominator of the candidate ratio).
-    pub db_size: usize,
-    /// Sequences that survived the filtering step and were verified with the
-    /// exact distance (numerator of the candidate ratio, Figure 2).
-    pub candidates: usize,
-    /// Exact DTW computations started (early-abandoned ones included).
-    pub dtw_invocations: u64,
-    /// DP cells computed across exact DTW calls.
-    pub dtw_cells: u64,
-    /// Cheap lower-bound evaluations performed (one per sequence in LB-Scan).
-    pub lb_evaluations: u64,
-    /// Element-level filter work: lower-bound element operations (LB-Scan)
-    /// or suffix-tree DP cells (ST-Filter), priced by the CPU model.
-    pub filter_ops: u64,
-    /// Index structure node accesses (R-tree nodes or suffix-tree nodes),
-    /// priced as random page reads by the cost model.
-    pub index_node_accesses: u64,
-    /// Sequence-store traffic (candidate reads, sequential scans).
-    pub io: IoProfile,
-    /// Measured CPU/wall time of the query.
-    pub cpu_time: Duration,
-}
-
-impl SearchStats {
-    /// `candidates / database size` (Figure 2's Y-axis). Zero for an empty
-    /// database.
-    pub fn candidate_ratio(&self) -> f64 {
-        if self.db_size == 0 {
-            0.0
-        } else {
-            self.candidates as f64 / self.db_size as f64
-        }
-    }
-
-    /// The fully modeled elapsed time on the paper's hardware (Figures 3–5's
-    /// Y-axis): the disk model prices store traffic and index node accesses,
-    /// the CPU model prices DP cells and filter operations. Deterministic —
-    /// it does not depend on the measuring machine.
-    pub fn modeled_elapsed(&self, hw: &HardwareModel) -> Duration {
-        hw.disk
-            .elapsed(&self.io)
-            .saturating_add(hw.disk.random_reads(self.index_node_accesses))
-            .saturating_add(hw.cpu.dtw_time(self.dtw_cells))
-            .saturating_add(hw.cpu.filter_time(self.filter_ops))
-    }
-
-    /// Accumulates another query's stats (used to average over the paper's
-    /// 100-query batches).
-    pub fn accumulate(&mut self, other: &SearchStats) {
-        self.db_size = self.db_size.max(other.db_size);
-        self.candidates += other.candidates;
-        self.dtw_invocations += other.dtw_invocations;
-        self.dtw_cells += other.dtw_cells;
-        self.lb_evaluations += other.lb_evaluations;
-        self.filter_ops += other.filter_ops;
-        self.index_node_accesses += other.index_node_accesses;
-        self.io.add(&other.io);
-        self.cpu_time += other.cpu_time;
-    }
 }
 
 /// Outcome of one similarity query.
@@ -147,13 +84,25 @@ where
 mod tests {
     use super::*;
 
+    use std::time::Duration;
+
+    use tw_storage::{HardwareModel, IoProfile};
+
+    use crate::stats::QueryStats;
+
+    fn view(ledger: &QueryStats, io: IoProfile, db_size: usize) -> SearchStats {
+        SearchStats::from_ledger(ledger, io, db_size, Duration::ZERO)
+    }
+
     #[test]
     fn candidate_ratio() {
-        let stats = SearchStats {
-            db_size: 200,
-            candidates: 5,
+        let ledger = QueryStats {
+            candidates: 60,
+            refine_candidates: 5,
             ..Default::default()
         };
+        let stats = view(&ledger, IoProfile::default(), 200);
+        assert_eq!(stats.candidates, 5);
         assert_eq!(stats.candidate_ratio(), 0.025);
         assert_eq!(SearchStats::default().candidate_ratio(), 0.0);
     }
@@ -161,45 +110,50 @@ mod tests {
     #[test]
     fn modeled_elapsed_prices_all_sources() {
         let hw = HardwareModel::icde2001();
-        let stats = SearchStats {
-            index_node_accesses: 10,
+        let ledger = QueryStats {
+            index_internal_accesses: 4,
+            index_leaf_accesses: 6,
             dtw_cells: 5_000_000,  // 1 s at the 2001 CPU rate
             filter_ops: 2_000_000, // 0.1 s
-            io: IoProfile {
-                random_requests: 5,
-                random_page_reads: 5,
-                sequential_pages_scanned: 100,
-            },
             ..Default::default()
         };
+        let io = IoProfile {
+            random_requests: 5,
+            random_page_reads: 5,
+            sequential_pages_scanned: 100,
+        };
+        let stats = view(&ledger, io, 0);
+        assert_eq!(stats.index_node_accesses, 10);
         let t = stats.modeled_elapsed(&hw);
         // CPU terms alone contribute 1.1 s; disk terms are on top.
         assert!(t > Duration::from_millis(1_100));
         assert!(t > hw.disk.random_reads(15));
         // The model ignores the measuring machine's wall clock.
-        let mut faster = stats.clone();
-        faster.cpu_time = Duration::from_secs(100);
-        assert_eq!(faster.modeled_elapsed(&hw), t);
+        let slower = SearchStats::from_ledger(&ledger, io, 0, Duration::from_secs(100));
+        assert_eq!(slower.modeled_elapsed(&hw), t);
     }
 
     #[test]
     fn accumulate_sums_counters() {
-        let mut a = SearchStats {
-            db_size: 100,
-            candidates: 2,
-            dtw_invocations: 2,
+        // A batch accumulates by merging ledgers and deriving one view:
+        // invocations are verdicts plus pivot projections, summed.
+        let mut a = QueryStats {
+            refine_candidates: 2,
+            verified: 1,
+            abandoned: 1,
             ..Default::default()
         };
-        a.accumulate(&SearchStats {
-            db_size: 100,
-            candidates: 3,
-            dtw_invocations: 3,
-            cpu_time: Duration::from_millis(1),
+        a.merge(&QueryStats {
+            refine_candidates: 3,
+            verified: 2,
+            pivot_dtw: 1,
             ..Default::default()
         });
-        assert_eq!(a.candidates, 5);
-        assert_eq!(a.dtw_invocations, 5);
-        assert_eq!(a.db_size, 100);
-        assert_eq!(a.cpu_time, Duration::from_millis(1));
+        let stats =
+            SearchStats::from_ledger(&a, IoProfile::default(), 100, Duration::from_millis(1));
+        assert_eq!(stats.candidates, 5);
+        assert_eq!(stats.dtw_invocations, 5);
+        assert_eq!(stats.db_size, 100);
+        assert_eq!(stats.cpu_time, Duration::from_millis(1));
     }
 }

@@ -59,13 +59,15 @@ impl Proposals {
     }
 }
 
-/// One query's governed scope over one store: its token, its ledger and
-/// the legacy aggregates the source and the refine step fill in.
+/// One query's governed scope over one store: its token and the ledger
+/// the source and the refine step fill in.
 pub(crate) struct Scope<'s, P: Pager> {
     store: &'s SequenceStore<P>,
     pub(crate) token: CancelToken,
     pub(crate) counters: PipelineCounters,
-    pub(crate) stats: SearchStats,
+    /// The candidate-ratio denominator the view reports: the store's
+    /// length unless the source searches another universe (windows).
+    pub(crate) db_size: usize,
     started: Instant,
     retries_before: u64,
     _governed: GovernorGuard<'s, P>,
@@ -94,10 +96,7 @@ impl<'s, P: Pager> Scope<'s, P> {
         Self {
             store,
             retries_before: store.checksum_retries(),
-            stats: SearchStats {
-                db_size: store.len(),
-                ..Default::default()
-            },
+            db_size: store.len(),
             counters: PipelineCounters::new(),
             token,
             started,
@@ -105,19 +104,18 @@ impl<'s, P: Pager> Scope<'s, P> {
         }
     }
 
-    /// Ledgers one R-tree walk: internal and leaf visits, and their sum as
-    /// the legacy node-access count.
-    pub(crate) fn add_index(&mut self, walk: &tw_rtree::QueryStats) {
+    /// Ledgers one R-tree walk: internal and leaf visits.
+    pub(crate) fn add_index(&self, walk: &tw_rtree::QueryStats) {
         self.counters.add_index_internal(walk.internal_accesses);
         self.counters.add_index_leaf(walk.leaf_accesses);
-        self.stats.index_node_accesses += walk.node_accesses();
     }
 
     /// Steps 3–4 of Algorithm 1 over a source's proposals: every proposal
-    /// is a candidate; ids are fetched, then the cascade (if armed) and the
-    /// exact verification run. Returns the matches, ascending by id.
+    /// is a candidate that reached the refine step; ids are fetched, then
+    /// the cascade (if armed) and the exact verification run. Returns the
+    /// matches, ascending by id.
     pub(crate) fn refine(
-        &mut self,
+        &self,
         proposals: Proposals,
         query: &[f64],
         epsilon: f64,
@@ -125,16 +123,21 @@ impl<'s, P: Pager> Scope<'s, P> {
     ) -> Result<Vec<Match>, TwError> {
         let proposed = proposals.len();
         self.counters.add_candidates(proposed as u64);
-        self.stats.candidates += proposed;
+        self.counters.add_refine_candidates(proposed as u64);
         let rows = match proposals {
             Proposals::Rows(rows) => rows,
             Proposals::Ids(ids) => self.counters.time(Phase::Fetch, || self.fetch(ids))?,
         };
         self.counters
             .add_skipped_unverified((proposed - rows.len()) as u64);
-        let (matches, verified) = verify(&rows, query, epsilon, opts, &self.counters, &self.token);
-        self.stats.accumulate(&verified);
-        Ok(matches)
+        Ok(verify(
+            &rows,
+            query,
+            epsilon,
+            opts,
+            &self.counters,
+            &self.token,
+        ))
     }
 
     /// The one fetch loop. A tripped token stops it; the caller ledgers
@@ -155,18 +158,18 @@ impl<'s, P: Pager> Scope<'s, P> {
     }
 
     /// Closes the ledger — pager reads, checksum retries, the I/O profile,
-    /// wall time, termination — and wraps it around `matches`.
-    pub(crate) fn finish(mut self, matches: Vec<Match>) -> SearchOutcome {
-        self.stats.io = self.store.take_io();
-        self.counters.add_pager_reads(self.stats.io.total_pages());
+    /// wall time, termination — and wraps it and its view around `matches`.
+    pub(crate) fn finish(self, matches: Vec<Match>) -> SearchOutcome {
+        let io = self.store.take_io();
+        self.counters.add_pager_reads(io.total_pages());
         self.counters
             .add_checksum_retries(self.store.checksum_retries() - self.retries_before);
-        self.stats.cpu_time = self.started.elapsed();
+        let query_stats = self.counters.snapshot();
         SearchOutcome {
             matches,
-            stats: self.stats,
+            stats: SearchStats::from_ledger(&query_stats, io, self.db_size, self.started.elapsed()),
             health: EngineHealth::Healthy,
-            query_stats: self.counters.snapshot(),
+            query_stats,
             termination: termination_of(&self.token),
         }
     }
@@ -203,10 +206,7 @@ impl<'s, P: Pager> Filtered<'s, P> {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        let Filtered {
-            mut scope,
-            proposals,
-        } = self;
+        let Filtered { scope, proposals } = self;
         let matches = scope.refine(proposals, query, epsilon, opts)?;
         Ok(scope.finish(matches))
     }
@@ -222,7 +222,7 @@ pub(crate) fn verify(
     opts: &EngineOpts,
     counters: &PipelineCounters,
     token: &CancelToken,
-) -> (Vec<Match>, SearchStats) {
+) -> Vec<Match> {
     let cascade = opts.arm_cascade(query);
     VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
         .with_cascade(cascade.as_deref())

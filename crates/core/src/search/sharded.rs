@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use tw_storage::{
     create_shard_segment, manifest_path, open_shard_segment, rtree_path, segment_path,
-    sidecar_path, EnvelopeSidecar, MemPager, Pager, RecoveryReport, SegmentPager, SeqId,
+    sidecar_path, EnvelopeSidecar, IoProfile, MemPager, Pager, RecoveryReport, SegmentPager, SeqId,
     SequenceStore, ShardManifest,
 };
 
@@ -60,10 +60,10 @@ use crate::search::knn::{knn_best_first, KnnSource};
 use crate::search::resilient::Probe;
 use crate::search::verify::workers_for;
 use crate::search::{
-    EngineHealth, EngineOpts, ResilientSearch, SearchEngine, SearchOutcome, ShardedKnnOutcome,
-    TwSimSearch,
+    EngineHealth, EngineOpts, ResilientSearch, SearchEngine, SearchOutcome, SearchStats,
+    ShardedKnnOutcome, TwSimSearch,
 };
-use crate::stats::wall_now;
+use crate::stats::{wall_now, QueryStats};
 
 /// One shard: its slice of the id space, its open segment store, its
 /// (resilient) per-shard engine and its optional envelope sidecar.
@@ -350,7 +350,9 @@ impl<S: Pager + Send> ShardedSearch<S> {
                 .refine(&shard.store, probe, query, epsilon, opts)
         });
 
-        let mut merged = SearchOutcome::default();
+        let mut matches = Vec::new();
+        let mut query_stats = QueryStats::default();
+        let mut io = IoProfile::default();
         let mut per_shard = Vec::with_capacity(results.len());
         let mut degraded: Vec<String> = Vec::new();
         for ((i, result), shard) in results.into_iter().enumerate().zip(&self.shards) {
@@ -358,25 +360,32 @@ impl<S: Pager + Send> ShardedSearch<S> {
             for m in &mut out.matches {
                 m.id += shard.base_id;
             }
-            merged.matches.extend(out.matches.iter().copied());
-            merged.stats.accumulate(&out.stats);
-            merged.query_stats.merge(&out.query_stats);
+            matches.extend(out.matches.iter().copied());
+            query_stats.merge(&out.query_stats);
+            io.add(&out.stats.io);
             if let EngineHealth::Degraded { reason, .. } = &out.health {
                 degraded.push(format!("shard {i}: {reason}"));
             }
             per_shard.push(out);
         }
-        merged.stats.db_size = usize::try_from(self.total_sequences()).unwrap_or(usize::MAX);
-        // Per-shard cpu_time summed by accumulate is CPU spend; the merged
-        // outcome reports the fan-out's wall time instead.
-        merged.stats.cpu_time = started.elapsed();
-        if !degraded.is_empty() {
-            merged.health = EngineHealth::Degraded {
+        let health = if degraded.is_empty() {
+            EngineHealth::Healthy
+        } else {
+            EngineHealth::Degraded {
                 fallback: "lb-scan",
                 reason: degraded.join("; "),
-            };
-        }
-        merged.termination = termination_of(&token);
+            }
+        };
+        // The merged view reports the fan-out's wall time, not the sum of
+        // the shards' times.
+        let db_size = usize::try_from(self.total_sequences()).unwrap_or(usize::MAX);
+        let merged = SearchOutcome {
+            matches,
+            stats: SearchStats::from_ledger(&query_stats, io, db_size, started.elapsed()),
+            health,
+            query_stats,
+            termination: termination_of(&token),
+        };
         Ok(ShardedOutcome { merged, per_shard })
     }
 

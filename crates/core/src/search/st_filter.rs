@@ -12,14 +12,14 @@
 //! ST-Filter uncompetitive for whole matching.
 
 use tw_storage::{Pager, SequenceStore};
-use tw_suffix::{CategoryMethod, StFilter};
+use tw_suffix::{CategoryMethod, StFilter, TraversalStats};
 
-use crate::distance::{dtw_within_governed, DtwKind};
+use crate::distance::dtw_within_governed;
 use crate::error::TwError;
 use crate::search::pipeline::{Proposals, Scope};
 use crate::search::subsequence::SubsequenceOutcome;
-use crate::search::{EngineOpts, SearchEngine, SearchOutcome, SearchStats, SubsequenceMatch};
-use crate::stats::Phase;
+use crate::search::{EngineOpts, SearchEngine, SearchOutcome, SubsequenceMatch};
+use crate::stats::{Phase, PipelineCounters};
 
 /// The suffix-tree baseline engine.
 #[derive(Debug, Clone)]
@@ -67,23 +67,12 @@ impl StFilterSearch {
     /// Sound like the whole-matching filter: the traversal's category DP
     /// lower-bounds the true distance of every window sharing the proposed
     /// prefix, so qualifying windows always surface as candidates.
-    pub fn subsequence_search<P: Pager>(
-        &self,
-        store: &SequenceStore<P>,
-        query: &[f64],
-        epsilon: f64,
-        kind: DtwKind,
-    ) -> Result<(Vec<SubsequenceMatch>, SearchStats), TwError> {
-        let outcome =
-            self.subsequence_search_governed(store, query, epsilon, &EngineOpts::new().kind(kind))?;
-        Ok((outcome.matches, outcome.stats))
-    }
-
-    /// [`Self::subsequence_search`] with the full option set: honours
-    /// `opts.budget` (returning partial, still-exact window matches with the
-    /// corresponding termination) and reports the per-phase
-    /// [`crate::stats::QueryStats`] breakdown, counting one candidate per
-    /// proposed window.
+    ///
+    /// Honours `opts.budget` (returning partial, still-exact window matches
+    /// with the corresponding termination) and ledgers one candidate per
+    /// proposed window: a proposal is `verified` or `abandoned` once every
+    /// extension got a verdict, so its invocation count is its decided
+    /// proposals, while all of its extension DPs are priced in `dtw_cells`.
     pub fn subsequence_search_governed<P: Pager>(
         &self,
         store: &SequenceStore<P>,
@@ -91,17 +80,15 @@ impl StFilterSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
-        let mut scope = Scope::open(store, query, epsilon, opts)?;
-        let (token, counters, stats) = (&scope.token, &scope.counters, &mut scope.stats);
+        let scope = Scope::open(store, query, epsilon, opts)?;
+        let (token, counters) = (&scope.token, &scope.counters);
         let filtered = counters.time(Phase::Filter, || {
             self.filter.subsequence_candidates(query, epsilon)
         });
-        stats.index_node_accesses = filtered.stats.nodes_visited;
-        counters.add_index_internal(filtered.stats.nodes_visited);
-        stats.filter_ops = filtered.stats.dp_cells;
-        stats.candidates = filtered.windows.len();
-        counters.add_candidates(filtered.windows.len() as u64);
         let total_windows = filtered.windows.len() as u64;
+        ledger_traversal(counters, &filtered.stats);
+        counters.add_candidates(total_windows);
+        counters.add_refine_candidates(total_windows);
 
         // Group candidate windows per sequence so each is read once.
         let mut by_seq: std::collections::BTreeMap<u64, Vec<(usize, usize)>> =
@@ -110,7 +97,6 @@ impl StFilterSearch {
             by_seq.entry(id as u64).or_default().push((offset, len));
         }
         let mut matches = Vec::new();
-        let mut decided = 0u64;
         let mut verified = 0u64;
         let mut abandoned = 0u64;
         'candidates: for (id, windows) in by_seq {
@@ -133,13 +119,11 @@ impl StFilterSearch {
                 for end in (offset + len)..=values.len() {
                     let outcome =
                         dtw_within_governed(&values[offset..end], query, opts.kind, epsilon, token);
-                    stats.dtw_cells += outcome.cells;
                     counters.add_dtw_cells(outcome.cells);
                     if outcome.cancelled {
                         proposal_cancelled = true;
                         break;
                     }
-                    stats.dtw_invocations += 1;
                     proposal_abandoned |= outcome.early_abandoned;
                     if let Some(distance) = outcome.within {
                         matches.push(SubsequenceMatch {
@@ -153,7 +137,6 @@ impl StFilterSearch {
                 if proposal_cancelled {
                     break 'candidates;
                 }
-                decided += 1;
                 if proposal_abandoned {
                     abandoned += 1;
                 } else {
@@ -163,17 +146,19 @@ impl StFilterSearch {
         }
         counters.add_verified(verified);
         counters.add_abandoned(abandoned);
-        counters.add_skipped_unverified(total_windows - decided);
+        counters.add_skipped_unverified(total_windows - (verified + abandoned));
         matches.sort_by_key(|m| (m.id, m.offset, m.len));
         matches.dedup_by_key(|m| (m.id, m.offset, m.len));
-        let out = scope.finish(Vec::new());
-        Ok(SubsequenceOutcome {
-            matches,
-            stats: out.stats,
-            query_stats: out.query_stats,
-            termination: out.termination,
-        })
+        Ok(SubsequenceOutcome::close(scope, matches))
     }
+}
+
+/// Ledgers one suffix-tree traversal: its node visits (the tree has no
+/// internal/leaf split in its traversal stats, so they count as internal
+/// accesses) and its category DP cells as filter work.
+fn ledger_traversal(counters: &PipelineCounters, walk: &TraversalStats) {
+    counters.add_index_internal(walk.nodes_visited);
+    counters.add_filter_ops(walk.dp_cells);
 }
 
 impl<P: Pager> SearchEngine<P> for StFilterSearch {
@@ -188,20 +173,14 @@ impl<P: Pager> SearchEngine<P> for StFilterSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let scope = Scope::open(store, query, epsilon, opts)?;
         // The tree traversal's DP is a max-aggregation lower bound, which
         // also lower-bounds the additive kinds (a sum of non-negative terms
         // dominates its maximum) — the filter stays sound for every kind.
         let filtered = scope.counters.time(Phase::Filter, || {
             self.filter.whole_match_candidates(query, epsilon)
         });
-        // The suffix tree has no internal/leaf split in its traversal stats;
-        // its node visits are recorded as internal accesses.
-        scope.stats.index_node_accesses = filtered.stats.nodes_visited;
-        scope
-            .counters
-            .add_index_internal(filtered.stats.nodes_visited);
-        scope.stats.filter_ops = filtered.stats.dp_cells;
+        ledger_traversal(&scope.counters, &filtered.stats);
         let ids = filtered.ids.into_iter().map(|id| id as u64).collect();
         let matches = scope.refine(Proposals::Ids(ids), query, epsilon, opts)?;
         Ok(scope.finish(matches))
@@ -211,6 +190,7 @@ impl<P: Pager> SearchEngine<P> for StFilterSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::DtwKind;
     use crate::search::{run_search, NaiveScan};
     use tw_storage::SequenceStore;
 
@@ -307,14 +287,20 @@ mod tests {
         let store = store_with(&data);
         let engine =
             StFilterSearch::build_with_categories(&store, 20, CategoryMethod::EqualWidth).unwrap();
-        let (found, stats) = engine
-            .subsequence_search(&store, &[7.0, 8.0, 9.0], 0.5, DtwKind::MaxAbs)
+        let out = engine
+            .subsequence_search_governed(
+                &store,
+                &[7.0, 8.0, 9.0],
+                0.5,
+                &EngineOpts::new().kind(DtwKind::MaxAbs),
+            )
             .unwrap();
-        assert!(found
+        assert!(out
+            .matches
             .iter()
             .any(|m| m.id == 0 && m.offset == 2 && m.len == 3 && m.distance == 0.0));
-        assert!(found.iter().all(|m| m.id == 0));
-        assert!(stats.index_node_accesses > 0);
+        assert!(out.matches.iter().all(|m| m.id == 0));
+        assert!(out.stats.index_node_accesses > 0);
     }
 
     #[test]

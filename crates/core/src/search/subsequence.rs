@@ -12,7 +12,7 @@
 use tw_rtree::{Point, RTree};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
-use crate::distance::{dtw_within_governed, DtwKind};
+use crate::distance::dtw_within_governed;
 use crate::error::TwError;
 use crate::feature::FeatureVector;
 use crate::govern::Termination;
@@ -86,13 +86,27 @@ pub struct SubsequenceMatch {
 pub struct SubsequenceOutcome {
     /// Qualifying windows, sorted by `(id, offset, len)`.
     pub matches: Vec<SubsequenceMatch>,
-    /// The legacy work accounting.
+    /// The paper's work accounting, derived from `query_stats`; its
+    /// `db_size` is the number of windows the searched universe holds.
     pub stats: SearchStats,
     /// Per-phase observability breakdown; window proposals are the
     /// "candidates" and the accounting invariant holds over them.
     pub query_stats: QueryStats,
     /// Whether the query completed or was cut short by its budget.
     pub termination: Termination,
+}
+
+impl SubsequenceOutcome {
+    /// Closes a window search's scope around its matches.
+    pub(crate) fn close<P: Pager>(scope: Scope<'_, P>, matches: Vec<SubsequenceMatch>) -> Self {
+        let out = scope.finish(Vec::new());
+        Self {
+            matches,
+            stats: out.stats,
+            query_stats: out.query_stats,
+            termination: out.termination,
+        }
+    }
 }
 
 /// The subsequence-matching index.
@@ -162,20 +176,10 @@ impl SubsequenceIndex {
     /// Finds indexed windows whose time-warping distance to `query` is within
     /// `epsilon`. Overlapping qualifying windows are all reported; callers
     /// wanting one hit per region can post-process.
-    pub fn search<P: Pager>(
-        &self,
-        store: &SequenceStore<P>,
-        query: &[f64],
-        epsilon: f64,
-        kind: DtwKind,
-    ) -> Result<(Vec<SubsequenceMatch>, SearchStats), TwError> {
-        let outcome = self.search_governed(store, query, epsilon, &EngineOpts::new().kind(kind))?;
-        Ok((outcome.matches, outcome.stats))
-    }
-
-    /// [`Self::search`] with the full option set: honours `opts.budget`
-    /// (returning partial, still-exact matches with the corresponding
-    /// [`Termination`]) and reports the per-phase [`QueryStats`] breakdown.
+    ///
+    /// Honours `opts.budget` (returning partial, still-exact matches with
+    /// the corresponding [`Termination`]) and reports the per-phase
+    /// [`QueryStats`] breakdown.
     pub fn search_governed<P: Pager>(
         &self,
         store: &SequenceStore<P>,
@@ -184,17 +188,16 @@ impl SubsequenceIndex {
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
         let mut scope = Scope::open(store, query, epsilon, opts)?;
-        let (token, counters, stats) = (&scope.token, &scope.counters, &mut scope.stats);
-        stats.db_size = self.windows_indexed;
+        scope.db_size = self.windows_indexed;
+        let (token, counters) = (&scope.token, &scope.counters);
         let q_point = FeatureVector::from_values(query).as_point();
         let range = counters.time(Phase::Filter, || {
             self.tree.range_centered(&q_point, epsilon)
         });
-        stats.index_node_accesses = range.stats.node_accesses();
-        stats.candidates = range.ids.len();
-        counters.add_index_internal(range.stats.node_accesses());
-        counters.add_candidates(range.ids.len() as u64);
+        scope.add_index(&range.stats);
         let total_windows = range.ids.len() as u64;
+        counters.add_candidates(total_windows);
+        counters.add_refine_candidates(total_windows);
 
         // Group candidate windows per sequence so each sequence is read once.
         let mut by_seq: std::collections::BTreeMap<SeqId, Vec<(usize, usize)>> =
@@ -219,12 +222,10 @@ impl SubsequenceIndex {
                 }
                 let window = &values[offset..offset + len];
                 let outcome = dtw_within_governed(window, query, opts.kind, epsilon, token);
-                stats.dtw_cells += outcome.cells;
                 counters.add_dtw_cells(outcome.cells);
                 if outcome.cancelled {
                     continue;
                 }
-                stats.dtw_invocations += 1;
                 if outcome.early_abandoned {
                     abandoned += 1;
                 } else {
@@ -245,21 +246,31 @@ impl SubsequenceIndex {
         // Every proposed window that never got a verdict — unreached or cut
         // mid-DTW — is skipped, keeping the accounting invariant balanced.
         counters.add_skipped_unverified(total_windows - (verified + abandoned));
-        let out = scope.finish(Vec::new());
-        Ok(SubsequenceOutcome {
-            matches,
-            stats: out.stats,
-            query_stats: out.query_stats,
-            termination: out.termination,
-        })
+        Ok(SubsequenceOutcome::close(scope, matches))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::dtw;
+    use crate::distance::{dtw, DtwKind};
     use tw_storage::SequenceStore;
+
+    fn search(
+        index: &SubsequenceIndex,
+        store: &SequenceStore<tw_storage::MemPager>,
+        query: &[f64],
+        epsilon: f64,
+    ) -> SubsequenceOutcome {
+        index
+            .search_governed(
+                store,
+                query,
+                epsilon,
+                &EngineOpts::new().kind(DtwKind::MaxAbs),
+            )
+            .unwrap()
+    }
 
     fn store_with(data: &[Vec<f64>]) -> SequenceStore<tw_storage::MemPager> {
         let mut store = SequenceStore::in_memory();
@@ -285,14 +296,36 @@ mod tests {
         let store = store_with(&data);
         let spec = WindowSpec::new(2, 5, 1, 1).unwrap();
         let index = SubsequenceIndex::build(&store, spec).unwrap();
-        let (matches, stats) = index
-            .search(&store, &[7.0, 8.0, 9.0], 0.2, DtwKind::MaxAbs)
-            .unwrap();
-        assert!(matches
+        let out = search(&index, &store, &[7.0, 8.0, 9.0], 0.2);
+        assert!(out
+            .matches
             .iter()
             .any(|m| m.id == 0 && m.offset == 3 && m.len == 3 && m.distance == 0.0));
-        assert!(matches.iter().all(|m| m.id == 0));
-        assert!(stats.candidates < index.window_count());
+        assert!(out.matches.iter().all(|m| m.id == 0));
+        assert!(out.stats.candidates < index.window_count());
+        assert_eq!(out.stats.db_size, index.window_count());
+    }
+
+    #[test]
+    fn window_walk_splits_internal_from_leaf_visits() {
+        let data: Vec<Vec<f64>> = (0..12)
+            .map(|i| (0..40).map(|j| ((i * 5 + j * 3) % 17) as f64).collect())
+            .collect();
+        let store = store_with(&data);
+        let index = SubsequenceIndex::build(&store, WindowSpec::new(4, 8, 2, 1).unwrap()).unwrap();
+        let query = [3.0, 6.0, 9.0, 12.0, 15.0];
+        let walk = index
+            .tree
+            .range_centered(&FeatureVector::from_values(&query).as_point(), 2.0)
+            .stats;
+        assert!(walk.internal_accesses > 0, "{walk:?}");
+        let qs = search(&index, &store, &query, 2.0).query_stats;
+        assert!(qs.index_leaf_accesses > 0, "{qs:?}");
+        assert_eq!(
+            (qs.index_internal_accesses, qs.index_leaf_accesses),
+            (walk.internal_accesses, walk.leaf_accesses)
+        );
+        assert_eq!(qs.index_node_accesses(), walk.node_accesses());
     }
 
     #[test]
@@ -303,7 +336,7 @@ mod tests {
         let index = SubsequenceIndex::build(&store, spec).unwrap();
         let query = vec![5.0, 6.0];
         let eps = 0.3;
-        let (matches, _) = index.search(&store, &query, eps, DtwKind::MaxAbs).unwrap();
+        let matches = search(&index, &store, &query, eps).matches;
         // Brute force over the same window universe.
         let s = &data[0];
         for len in 2..=4usize {
@@ -350,7 +383,6 @@ mod tests {
         let store = store_with(&data);
         let index = SubsequenceIndex::build(&store, WindowSpec::new(5, 10, 1, 1).unwrap()).unwrap();
         assert_eq!(index.window_count(), 0);
-        let (matches, _) = index.search(&store, &[1.0], 10.0, DtwKind::MaxAbs).unwrap();
-        assert!(matches.is_empty());
+        assert!(search(&index, &store, &[1.0], 10.0).matches.is_empty());
     }
 }

@@ -177,7 +177,7 @@ impl TwSimSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<Filtered<'s, P>, TwError> {
-        let mut scope = Scope::open(store, query, epsilon, opts)?;
+        let scope = Scope::open(store, query, epsilon, opts)?;
         let range = scope.counters.time(Phase::Filter, || {
             let feature_q = FeatureVector::from_values(query).as_point();
             self.tree.range_centered(&feature_q, epsilon)

@@ -34,7 +34,7 @@ use tw_storage::SeqId;
 use crate::bound::{BoundCascade, BoundTier, CascadeDecision};
 use crate::distance::{dtw_banded_governed, dtw_decide_lanes, DtwKind, DtwOutcome, LANES};
 use crate::govern::CancelToken;
-use crate::search::{Match, SearchStats, VerifyMode};
+use crate::search::{Match, VerifyMode};
 use crate::stats::{Phase, PipelineCounters};
 
 /// The DP cells one extra worker thread must bring before it is worth
@@ -115,14 +115,12 @@ impl<'a> VerifyJob<'a> {
     /// DTW work out over as many of the job's `threads` as its estimated
     /// cell count pays for (one worker per 2¹⁷ estimated cells).
     ///
-    /// Returns the qualifying matches sorted by ascending [`SeqId`] and a
-    /// [`SearchStats`] carrying only the verification counters
-    /// (`dtw_invocations`, `dtw_cells`) — the caller merges it into its own
-    /// stats with [`SearchStats::accumulate`]. The shared
-    /// [`PipelineCounters`] receive the observability breakdown: per-tier
-    /// prunes, `verified` / `abandoned` per candidate, `dtw_cells`, and the
-    /// wall-clock time of the whole call under [`Phase::Verify`]. Counting
-    /// is per-candidate, so the counters are thread-count invariant.
+    /// Returns the qualifying matches sorted by ascending [`SeqId`]. The
+    /// shared [`PipelineCounters`] receive the work: per-tier prunes,
+    /// `verified` / `abandoned` / `skipped_unverified` per candidate,
+    /// `dtw_cells`, and the wall-clock time of the whole call under
+    /// [`Phase::Verify`]. Counting is per-candidate, so the counters are
+    /// thread-count invariant.
     ///
     /// Workers receive only the candidate slices, never the store, so the
     /// pipeline works with any pager and charges no I/O of its own:
@@ -139,32 +137,25 @@ impl<'a> VerifyJob<'a> {
         candidates: &[(SeqId, Vec<f64>)],
         counters: &PipelineCounters,
         token: &CancelToken,
-    ) -> (Vec<Match>, SearchStats) {
+    ) -> Vec<Match> {
         counters.time(Phase::Verify, || {
             let chunk = self.chunk_len(candidates);
-            let (mut matches, stats) = if candidates.len() <= chunk {
+            let mut matches = if candidates.len() <= chunk {
                 self.verify_chunk(candidates, counters, token)
             } else {
-                let parts: Vec<(Vec<Match>, SearchStats)> = std::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let handles: Vec<_> = candidates
                         .chunks(chunk)
                         .map(|part| scope.spawn(move || self.verify_chunk(part, counters, token)))
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                        .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                         .collect()
-                });
-                let mut matches = Vec::new();
-                let mut stats = SearchStats::default();
-                for (part_matches, part_stats) in parts {
-                    matches.extend(part_matches);
-                    stats.accumulate(&part_stats);
-                }
-                (matches, stats)
+                })
             };
             matches.sort_by_key(|m| m.id);
-            (matches, stats)
+            matches
         })
     }
 
@@ -193,9 +184,9 @@ impl<'a> VerifyJob<'a> {
         candidates: &[(SeqId, Vec<f64>)],
         counters: &PipelineCounters,
         token: &CancelToken,
-    ) -> (Vec<Match>, SearchStats) {
+    ) -> Vec<Match> {
         let mut matches = Vec::new();
-        let mut stats = SearchStats::default();
+        let mut cells = 0u64;
         let mut verified = 0u64;
         let mut abandoned = 0u64;
         let mut skipped = 0u64;
@@ -246,7 +237,7 @@ impl<'a> VerifyJob<'a> {
             dtw_decide_lanes(&exact, self.query, self.kind, self.epsilon, abandon, token);
         decided.extend(exact_ids.into_iter().zip(outcomes));
         for (id, outcome) in decided {
-            stats.dtw_cells += outcome.cells;
+            cells += outcome.cells;
             if outcome.cancelled {
                 // Cut short (or never started): cells may have been spent,
                 // the verdict never arrived. Ledger the candidate as
@@ -254,7 +245,6 @@ impl<'a> VerifyJob<'a> {
                 skipped += 1;
                 continue;
             }
-            stats.dtw_invocations += 1;
             if outcome.early_abandoned {
                 abandoned += 1;
             } else {
@@ -272,8 +262,8 @@ impl<'a> VerifyJob<'a> {
         counters.add_verified(verified);
         counters.add_abandoned(abandoned);
         counters.add_skipped_unverified(skipped);
-        counters.add_dtw_cells(stats.dtw_cells);
-        (matches, stats)
+        counters.add_dtw_cells(cells);
+        matches
     }
 }
 
@@ -314,13 +304,14 @@ mod tests {
     fn thread_count_does_not_change_the_outcome() {
         let cands = mixed_candidates();
         for kind in [DtwKind::MaxAbs, DtwKind::SumAbs, DtwKind::SumSquared] {
-            let run = |threads| {
-                let counters = PipelineCounters::new();
-                let (m, s) = VerifyJob::new(&MIXED_QUERY, 0.9, kind, VerifyMode::Exact, threads)
-                    .run(&cands, &counters, &CancelToken::unlimited());
-                (m, s, counters.snapshot())
-            };
-            let (base_matches, base_stats, base_counters) = run(1);
+            let run =
+                |threads| {
+                    let counters = PipelineCounters::new();
+                    let m = VerifyJob::new(&MIXED_QUERY, 0.9, kind, VerifyMode::Exact, threads)
+                        .run(&cands, &counters, &CancelToken::unlimited());
+                    (m, counters.snapshot())
+                };
+            let (base_matches, base_counters) = run(1);
             assert!(!base_matches.is_empty() && base_matches.len() < cands.len());
             assert!(base_counters.abandoned > 0 && base_counters.verified > 0);
             // The per-lane ledger equals the one-pair-at-a-time ledger.
@@ -328,12 +319,10 @@ mod tests {
                 .iter()
                 .map(|(_, v)| crate::distance::dtw_within(v, &MIXED_QUERY, kind, 0.9).cells)
                 .sum();
-            assert_eq!(base_stats.dtw_cells, alone, "{kind:?}");
+            assert_eq!(base_counters.dtw_cells, alone, "{kind:?}");
             for threads in [2usize, 3, 4, 16] {
-                let (m, s, counters) = run(threads);
+                let (m, counters) = run(threads);
                 assert_eq!(m, base_matches, "{kind:?} threads={threads}");
-                assert_eq!(s.dtw_invocations, base_stats.dtw_invocations);
-                assert_eq!(s.dtw_cells, base_stats.dtw_cells);
                 assert!(
                     counters.counters_eq(&base_counters),
                     "{kind:?} threads={threads}"
@@ -345,12 +334,13 @@ mod tests {
     #[test]
     fn cell_budget_tripping_mid_batch_leaves_an_exact_balanced_subset() {
         let cands = mixed_candidates();
-        let (full, full_stats) =
-            VerifyJob::new(&MIXED_QUERY, 0.9, DtwKind::MaxAbs, VerifyMode::Exact, 1).run(
-                &cands,
-                &PipelineCounters::new(),
-                &CancelToken::unlimited(),
-            );
+        let full_counters = PipelineCounters::new();
+        let full = VerifyJob::new(&MIXED_QUERY, 0.9, DtwKind::MaxAbs, VerifyMode::Exact, 1).run(
+            &cands,
+            &full_counters,
+            &CancelToken::unlimited(),
+        );
+        let full_cells = full_counters.snapshot().dtw_cells;
         for threads in [1usize, 4] {
             // From the first sweep's first column to most of the way
             // through (abandoning columns are ledgered but not charged).
@@ -361,7 +351,7 @@ mod tests {
                         .build();
                 let counters = PipelineCounters::new();
                 counters.add_candidates(cands.len() as u64);
-                let (partial, stats) = VerifyJob::new(
+                let partial = VerifyJob::new(
                     &MIXED_QUERY,
                     0.9,
                     DtwKind::MaxAbs,
@@ -376,9 +366,7 @@ mod tests {
                 let snap = counters.snapshot();
                 assert!(snap.accounting_balanced(), "{what}: {snap:?}");
                 assert!(snap.skipped_unverified > 0, "{what}");
-                assert_eq!(snap.verified + snap.abandoned, stats.dtw_invocations);
-                assert_eq!(snap.dtw_cells, stats.dtw_cells);
-                assert!(stats.dtw_cells <= full_stats.dtw_cells, "{what}");
+                assert!(snap.dtw_cells <= full_cells, "{what}");
             }
         }
     }
@@ -469,18 +457,18 @@ mod tests {
     #[test]
     fn gate_crossing_job_is_thread_count_invariant() {
         let (cands, query) = gate_crossing_candidates();
-        let run = |threads| {
-            let counters = PipelineCounters::new();
-            let (m, s) = VerifyJob::new(&query, 2.0, DtwKind::MaxAbs, VerifyMode::Exact, threads)
-                .run(&cands, &counters, &CancelToken::unlimited());
-            (m, s, counters.snapshot())
-        };
-        let (base_m, base_s, base_c) = run(1);
+        let run =
+            |threads| {
+                let counters = PipelineCounters::new();
+                let m = VerifyJob::new(&query, 2.0, DtwKind::MaxAbs, VerifyMode::Exact, threads)
+                    .run(&cands, &counters, &CancelToken::unlimited());
+                (m, counters.snapshot())
+            };
+        let (base_m, base_c) = run(1);
         assert!(!base_m.is_empty() && base_m.len() < cands.len());
         for threads in [2usize, 4] {
-            let (m, s, c) = run(threads);
+            let (m, c) = run(threads);
             assert_eq!(m, base_m, "threads={threads}");
-            assert_eq!(s.dtw_cells, base_s.dtw_cells);
             assert!(c.counters_eq(&base_c), "threads={threads}");
         }
     }
@@ -490,7 +478,7 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let counters = PipelineCounters::new();
-        let (m, s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
+        let m = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
             &cands,
             &counters,
             &CancelToken::unlimited(),
@@ -500,8 +488,7 @@ mod tests {
         assert_eq!(snap.verified + snap.abandoned, cands.len() as u64);
         // Matches only come from completed verifications.
         assert!((m.len() as u64) <= snap.verified);
-        // Cells recorded in the counters equal the SearchStats total.
-        assert_eq!(snap.dtw_cells, s.dtw_cells);
+        assert!(snap.dtw_cells > 0);
         // Verify-phase time was attributed.
         assert!(snap.phases.verify > std::time::Duration::ZERO);
     }
@@ -511,12 +498,11 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let plain_counters = PipelineCounters::new();
-        let (plain, plain_stats) =
-            VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
-                &cands,
-                &plain_counters,
-                &CancelToken::unlimited(),
-            );
+        let plain = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
+            &cands,
+            &plain_counters,
+            &CancelToken::unlimited(),
+        );
         let cascade = BoundCascade::prepare(
             &CascadeSpec::standard(),
             &query,
@@ -524,14 +510,14 @@ mod tests {
             VerifyMode::Exact,
         );
         let counters = PipelineCounters::new();
-        let (m, s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2)
+        let m = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2)
             .with_cascade(Some(&cascade))
             .run(&cands, &counters, &CancelToken::unlimited());
         // Same matches, strictly less DP work: this candidate set is mostly
         // far from the query, so the bounds must prune.
         assert_eq!(m, plain);
-        assert!(s.dtw_cells < plain_stats.dtw_cells);
         let snap = counters.snapshot();
+        assert!(snap.dtw_cells < plain_counters.snapshot().dtw_cells);
         assert!(snap.pruned_total() > 0);
         counters.add_candidates(cands.len() as u64);
         assert!(counters.snapshot().accounting_balanced());
@@ -548,16 +534,15 @@ mod tests {
             VerifyMode::Exact,
         );
         let base = PipelineCounters::new();
-        let (base_m, base_s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 1)
+        let base_m = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 1)
             .with_cascade(Some(&cascade))
             .run(&cands, &base, &CancelToken::unlimited());
         for threads in [2usize, 4, 16] {
             let counters = PipelineCounters::new();
-            let (m, s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, threads)
+            let m = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, threads)
                 .with_cascade(Some(&cascade))
                 .run(&cands, &counters, &CancelToken::unlimited());
             assert_eq!(m, base_m, "threads={threads}");
-            assert_eq!(s.dtw_cells, base_s.dtw_cells);
             assert!(counters.snapshot().counters_eq(&base.snapshot()));
         }
     }
@@ -617,7 +602,7 @@ mod tests {
         let mut cands = candidates();
         cands.reverse();
         let query = [3.0, 3.3, 3.9];
-        let (m, _) = VerifyJob::new(&query, 5.0, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
+        let m = VerifyJob::new(&query, 5.0, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
             &cands,
             &PipelineCounters::new(),
             &CancelToken::unlimited(),
@@ -629,7 +614,7 @@ mod tests {
     fn distances_are_exact() {
         let cands = candidates();
         let query = [2.0, 2.5, 2.9];
-        let (m, _) = VerifyJob::new(&query, 1.0, DtwKind::SumAbs, VerifyMode::Exact, 4).run(
+        let m = VerifyJob::new(&query, 1.0, DtwKind::SumAbs, VerifyMode::Exact, 4).run(
             &cands,
             &PipelineCounters::new(),
             &CancelToken::unlimited(),
@@ -644,13 +629,16 @@ mod tests {
     fn banded_mode_is_a_subset_of_exact() {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
-        let (exact, _) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
+        let exact = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
             &cands,
             &PipelineCounters::new(),
             &CancelToken::unlimited(),
         );
-        let (banded, _) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Banded(1), 2)
-            .run(&cands, &PipelineCounters::new(), &CancelToken::unlimited());
+        let banded = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Banded(1), 2).run(
+            &cands,
+            &PipelineCounters::new(),
+            &CancelToken::unlimited(),
+        );
         let exact_ids: Vec<_> = exact.iter().map(|m| m.id).collect();
         for m in &banded {
             assert!(exact_ids.contains(&m.id));
@@ -660,14 +648,14 @@ mod tests {
     #[test]
     fn empty_candidates_are_fine() {
         let counters = PipelineCounters::new();
-        let (m, s) = VerifyJob::new(&[1.0], 1.0, DtwKind::MaxAbs, VerifyMode::Exact, 4).run(
+        let m = VerifyJob::new(&[1.0], 1.0, DtwKind::MaxAbs, VerifyMode::Exact, 4).run(
             &[],
             &counters,
             &CancelToken::unlimited(),
         );
         assert!(m.is_empty());
-        assert_eq!(s.dtw_invocations, 0);
-        assert_eq!(counters.snapshot().verified, 0);
+        let snap = counters.snapshot();
+        assert_eq!((snap.verified, snap.abandoned, snap.dtw_cells), (0, 0, 0));
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Per-query observability: pipeline counters and phase timers.
+//! Per-query observability: the one work ledger and the views derived
+//! from it.
 //!
 //! The paper's experiments (Figures 2–5) compare methods by how many
 //! candidates survive each stage and how much DTW work the survivors cost.
 //! This module makes that breakdown first-class: every engine threads a
 //! [`PipelineCounters`] through its filter → fetch → verify pipeline and
 //! publishes an immutable [`QueryStats`] snapshot on the `SearchOutcome`.
+//! `QueryStats` is the only place a counter is written; the paper-facing
+//! [`SearchStats`] is a view, built by [`SearchStats::from_ledger`] alone.
 //!
 //! Counter semantics (the *accounting invariant*, enforced by
 //! `tests/stats_accounting.rs`):
@@ -33,6 +36,18 @@
 //!   rows were neither pruned nor DTW'd, so under a budget the ledger still
 //!   balances and every returned match remains verified-exact.
 //!
+//! **Two candidate notions.** `candidates` counts everything the filter
+//! stage produced, including rows a scan's `D_lb` check or FastMap's ball
+//! check dismissed. The paper's count (Figure 2's numerator) is the cost
+//! counter `refine_candidates`: the proposals that reached the refine
+//! step. Naive-Scan proposes every row; Figure 2 plots its match count
+//! instead, a rule of the experiments runner, not of the engine.
+//!
+//! An invocation is a DP that reached a verdict, or a FastMap pivot
+//! projection: `dtw_invocations == verified + abandoned + pivot_dtw` for
+//! every engine. A DP a budget cut short is `skipped_unverified`; its
+//! cells still land in `dtw_cells`.
+//!
 //! Counters are atomics so the shared verification pipeline can update them
 //! from scoped worker threads; all counting is independent of thread count.
 //! Timers use [`Instant`], a monotonic clock, and are the only
@@ -41,6 +56,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+use tw_storage::{HardwareModel, IoProfile};
 
 // The machine-checked counter manifest (tw-analyze `stats-ledger` rule).
 // Every u64/AtomicU64 field of the scoped structs must appear in exactly
@@ -51,7 +68,7 @@ use std::time::{Duration, Instant};
 //
 // tw-ledger(scope): QueryStats, PipelineCounters
 // tw-ledger(equation): candidates = pruned_lb_kim + pruned_lb_yi + pruned_lb_keogh + pruned_lb_improved + pruned_embedding + verified + abandoned + skipped_unverified
-// tw-ledger(cost): dtw_cells, pivot_dtw, pager_reads, checksum_retries, index_internal_accesses, index_leaf_accesses
+// tw-ledger(cost): dtw_cells, pivot_dtw, pager_reads, checksum_retries, index_internal_accesses, index_leaf_accesses, refine_candidates, filter_ops
 // tw-ledger(gauge): wal_appends, snapshot_epoch, admission_shed, admission_queue_depth
 // tw-ledger(timing): filter_nanos, fetch_nanos, verify_nanos
 
@@ -126,6 +143,15 @@ pub struct QueryStats {
     pub index_internal_accesses: u64,
     /// R-tree leaf node visits.
     pub index_leaf_accesses: u64,
+    /// Proposals that reached the refine step (fetch, cascade, verify):
+    /// the paper's candidate count, Figure 2's numerator. A cost, outside
+    /// the equation — see the module docs for how it differs from
+    /// `candidates`.
+    pub refine_candidates: u64,
+    /// Element-level filter work priced by the CPU model: Yi's `D_lb`
+    /// element operations in LB-Scan's pass, the suffix tree's DP cells in
+    /// ST-Filter's traversal.
+    pub filter_ops: u64,
     /// WAL appends acknowledged by the ingest layer when the query's
     /// snapshot was pinned. A gauge (like `pager_reads`), **outside** the
     /// accounting ledger; zero for queries against a plain store.
@@ -201,6 +227,8 @@ impl QueryStats {
         self.checksum_retries += other.checksum_retries;
         self.index_internal_accesses += other.index_internal_accesses;
         self.index_leaf_accesses += other.index_leaf_accesses;
+        self.refine_candidates += other.refine_candidates;
+        self.filter_ops += other.filter_ops;
         // Gauges, not tallies: the merged record reflects the most advanced
         // ingest state any constituent query observed.
         self.wal_appends = self.wal_appends.max(other.wal_appends);
@@ -235,6 +263,8 @@ pub struct PipelineCounters {
     checksum_retries: AtomicU64,
     index_internal_accesses: AtomicU64,
     index_leaf_accesses: AtomicU64,
+    refine_candidates: AtomicU64,
+    filter_ops: AtomicU64,
     filter_nanos: AtomicU64,
     fetch_nanos: AtomicU64,
     verify_nanos: AtomicU64,
@@ -267,35 +297,16 @@ impl PipelineCounters {
         self.candidates.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` candidates pruned by the Kim `D_tw-lb` bound.
-    pub fn add_pruned_lb_kim(&self, n: u64) {
-        self.pruned_lb_kim.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` candidates pruned by Yi's `D_lb` bound.
-    pub fn add_pruned_lb_yi(&self, n: u64) {
-        self.pruned_lb_yi.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` candidates pruned by Keogh's envelope bound.
-    pub fn add_pruned_lb_keogh(&self, n: u64) {
-        self.pruned_lb_keogh.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` candidates pruned by Lemire's LB_Improved bound.
-    pub fn add_pruned_lb_improved(&self, n: u64) {
-        self.pruned_lb_improved.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records `n` candidates pruned by the given cascade tier.
     pub fn add_pruned(&self, tier: crate::bound::BoundTier, n: u64) {
         use crate::bound::BoundTier;
-        match tier {
-            BoundTier::Kim => self.add_pruned_lb_kim(n),
-            BoundTier::Yi => self.add_pruned_lb_yi(n),
-            BoundTier::Keogh => self.add_pruned_lb_keogh(n),
-            BoundTier::Improved => self.add_pruned_lb_improved(n),
-        }
+        let slot = match tier {
+            BoundTier::Kim => &self.pruned_lb_kim,
+            BoundTier::Yi => &self.pruned_lb_yi,
+            BoundTier::Keogh => &self.pruned_lb_keogh,
+            BoundTier::Improved => &self.pruned_lb_improved,
+        };
+        slot.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records `n` candidates pruned by the FastMap embedding check.
@@ -348,6 +359,16 @@ impl PipelineCounters {
         self.index_leaf_accesses.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records `n` proposals handed to the refine step.
+    pub fn add_refine_candidates(&self, n: u64) {
+        self.refine_candidates.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records `n` element-level filter operations.
+    pub fn add_filter_ops(&self, n: u64) {
+        self.filter_ops.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Adds wall-clock time to a phase.
     pub fn add_phase(&self, phase: Phase, elapsed: Duration) {
         let slot = match phase {
@@ -384,6 +405,8 @@ impl PipelineCounters {
             checksum_retries: self.checksum_retries.load(Ordering::Relaxed),
             index_internal_accesses: self.index_internal_accesses.load(Ordering::Relaxed),
             index_leaf_accesses: self.index_leaf_accesses.load(Ordering::Relaxed),
+            refine_candidates: self.refine_candidates.load(Ordering::Relaxed),
+            filter_ops: self.filter_ops.load(Ordering::Relaxed),
             // Snapshot-layer gauges: stamped by `Snapshot::search_with`, not
             // threaded through the pipeline.
             wal_appends: 0,
@@ -401,6 +424,80 @@ impl PipelineCounters {
     }
 }
 
+/// The paper's work accounting for one query (or a summed batch), derived
+/// from the [`QueryStats`] ledger: the currency of Figures 2–5.
+///
+/// A view, not a second ledger: [`Self::from_ledger`] is the only code
+/// that builds one, so every field restates a ledger value (or one of the
+/// three quantities that live outside the counters: the I/O profile, the
+/// database size and the measured time).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SearchStats {
+    /// Database size at query time (denominator of the candidate ratio).
+    pub db_size: usize,
+    /// Proposals that reached the refine step (`refine_candidates`, the
+    /// numerator of Figure 2's candidate ratio).
+    pub candidates: usize,
+    /// DTW computations that reached a verdict (`verified + abandoned`)
+    /// plus FastMap's pivot projections (`pivot_dtw`).
+    pub dtw_invocations: u64,
+    /// DP cells computed (`dtw_cells`).
+    pub dtw_cells: u64,
+    /// Element-level filter work (`filter_ops`), priced by the CPU model.
+    pub filter_ops: u64,
+    /// Index structure node accesses (internal + leaf), priced as random
+    /// page reads by the cost model.
+    pub index_node_accesses: u64,
+    /// Sequence-store traffic (candidate reads, sequential scans).
+    pub io: IoProfile,
+    /// Measured CPU/wall time of the query.
+    pub cpu_time: Duration,
+}
+
+impl SearchStats {
+    /// The view of `ledger`, with the store traffic, database size and
+    /// measured time that live outside the counters.
+    pub fn from_ledger(
+        ledger: &QueryStats,
+        io: IoProfile,
+        db_size: usize,
+        cpu_time: Duration,
+    ) -> Self {
+        Self {
+            db_size,
+            candidates: usize::try_from(ledger.refine_candidates).unwrap_or(usize::MAX),
+            dtw_invocations: ledger.verified + ledger.abandoned + ledger.pivot_dtw,
+            dtw_cells: ledger.dtw_cells,
+            filter_ops: ledger.filter_ops,
+            index_node_accesses: ledger.index_node_accesses(),
+            io,
+            cpu_time,
+        }
+    }
+
+    /// `candidates / database size` (Figure 2's Y-axis). Zero for an empty
+    /// database.
+    pub fn candidate_ratio(&self) -> f64 {
+        if self.db_size == 0 {
+            0.0
+        } else {
+            self.candidates as f64 / self.db_size as f64
+        }
+    }
+
+    /// The fully modeled elapsed time on the paper's hardware (Figures 3–5's
+    /// Y-axis): the disk model prices store traffic and index node accesses,
+    /// the CPU model prices DP cells and filter operations. Deterministic —
+    /// it does not depend on the measuring machine.
+    pub fn modeled_elapsed(&self, hw: &HardwareModel) -> Duration {
+        hw.disk
+            .elapsed(&self.io)
+            .saturating_add(hw.disk.random_reads(self.index_node_accesses))
+            .saturating_add(hw.cpu.dtw_time(self.dtw_cells))
+            .saturating_add(hw.cpu.filter_time(self.filter_ops))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,7 +506,7 @@ mod tests {
     fn snapshot_reflects_counter_updates() {
         let c = PipelineCounters::new();
         c.add_candidates(10);
-        c.add_pruned_lb_yi(4);
+        c.add_pruned(crate::bound::BoundTier::Yi, 4);
         c.add_verified(5);
         c.add_abandoned(1);
         c.add_dtw_cells(123);
@@ -492,7 +589,7 @@ mod tests {
         a.add_phase(Phase::Fetch, Duration::from_millis(1));
         let b = PipelineCounters::new();
         b.add_candidates(3);
-        b.add_pruned_lb_kim(1);
+        b.add_pruned(crate::bound::BoundTier::Kim, 1);
         b.add_verified(2);
         b.add_index_internal(4);
         b.add_index_leaf(6);

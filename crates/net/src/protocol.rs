@@ -30,7 +30,7 @@
 //! * **KnnRequest** — tenant `u32`, budget, k `u32`, count `u32`,
 //!   count×`f64` values.
 //! * **Response** — termination (2×`u8`), health (`u8` + two strings when
-//!   degraded), [`QueryStats`] (22×`u64`), match count `u32`,
+//!   degraded), [`QueryStats`] (24×`u64`), match count `u32`,
 //!   count×(`u64` id, `f64` distance).
 //! * **Shed** — retry-after-ms `u64`, queue depth `u64`, shed total `u64`.
 //! * **Error** — code `u16`, UTF-8 message (`u32` length + bytes).
@@ -51,7 +51,7 @@ use crate::convert::{duration_nanos, u32_len, usize_len};
 /// Frame magic: `"TWNP"`.
 pub const MAGIC: [u8; 4] = *b"TWNP";
 /// Current protocol version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed frame header size: magic + version + kind + payload length.
 pub const HEADER_BYTES: usize = 10;
 /// Frame trailer size: the CRC-32.
@@ -591,7 +591,7 @@ pub struct QueryResponse {
 impl QueryResponse {
     /// Serializes the response payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(2 + 1 + 22 * 8 + 4 + self.matches.len() * 16);
+        let mut buf = Vec::with_capacity(2 + 1 + 24 * 8 + 4 + self.matches.len() * 16);
         encode_termination(&mut buf, self.termination);
         match &self.health {
             WireHealth::Healthy => buf.push(0),
@@ -687,10 +687,12 @@ fn decode_termination(r: &mut Reader<'_>) -> Result<Termination, PayloadError> {
     }
 }
 
-/// Serializes the full [`QueryStats`] ledger: 19 counters then 3 phase
-/// timings, 22 little-endian `u64`s in declaration order. Extending
+/// Serializes the full [`QueryStats`] ledger: 21 counters then 3 phase
+/// timings, 24 little-endian `u64`s in declaration order. Extending
 /// `QueryStats` requires a protocol version bump — the wire order is
-/// pinned by `tests/net_protocol.rs`.
+/// pinned by `tests/net_protocol.rs`. Version 2 added `refine_candidates`
+/// and `filter_ops`, so a client derives the same `SearchStats` view the
+/// server would.
 fn encode_stats(buf: &mut Vec<u8>, s: &QueryStats) {
     for v in [
         s.candidates,
@@ -708,6 +710,8 @@ fn encode_stats(buf: &mut Vec<u8>, s: &QueryStats) {
         s.checksum_retries,
         s.index_internal_accesses,
         s.index_leaf_accesses,
+        s.refine_candidates,
+        s.filter_ops,
         s.wal_appends,
         s.snapshot_epoch,
         s.admission_shed,
@@ -737,6 +741,8 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, PayloadError> {
         checksum_retries: r.u64()?,
         index_internal_accesses: r.u64()?,
         index_leaf_accesses: r.u64()?,
+        refine_candidates: r.u64()?,
+        filter_ops: r.u64()?,
         wal_appends: r.u64()?,
         snapshot_epoch: r.u64()?,
         admission_shed: r.u64()?,

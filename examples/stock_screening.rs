@@ -61,9 +61,9 @@ fn main() {
     }
 
     // kNN screen: the 5 closest series regardless of tolerance.
-    let (neighbors, knn_stats) = engine.knn(&store, &query, 5, DtwKind::MaxAbs).expect("knn");
+    let knn = engine.knn_governed(&store, &query, 5, &opts).expect("knn");
     println!("\nTop-5 nearest series under time warping:");
-    for n in &neighbors {
+    for n in &knn.matches {
         println!("  series {:>3}  distance {:.4}", n.id, n.distance);
     }
 
@@ -75,6 +75,6 @@ fn main() {
         result.stats.db_size,
         result.stats.index_node_accesses,
         result.stats.modeled_elapsed(&hw),
-        knn_stats.dtw_invocations,
+        knn.stats.dtw_invocations,
     );
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p tw-examples --example subsequence_explorer`
 
 use tw_core::distance::DtwKind;
-use tw_core::search::{SubsequenceIndex, WindowSpec};
+use tw_core::search::{EngineOpts, SubsequenceIndex, SubsequenceOutcome, WindowSpec};
 use tw_storage::SequenceStore;
 use tw_workload::{cbf, CbfClass};
 
@@ -40,8 +40,13 @@ fn main() {
     // The query motif: a clean bell event.
     let motif = cbf(CbfClass::Bell, 96, 0.0, 7);
     let epsilon = 1.2;
-    let (matches, stats) = index
-        .search(&store, &motif, epsilon, DtwKind::MaxAbs)
+    let SubsequenceOutcome { matches, stats, .. } = index
+        .search_governed(
+            &store,
+            &motif,
+            epsilon,
+            &EngineOpts::new().kind(DtwKind::MaxAbs),
+        )
         .expect("motif query");
 
     // Collapse overlapping hits: keep the best-scoring window per

@@ -8,7 +8,7 @@
 //! self-consistent ones.
 
 use tw_core::distance::DtwKind;
-use tw_core::search::TwSimSearch;
+use tw_core::search::{EngineOpts, TwSimSearch};
 use tw_storage::{MemPager, SequenceStore};
 use tw_workload::{cbf, cbf_dataset, CbfClass};
 
@@ -37,7 +37,10 @@ fn one_nn_dtw_classifies_cbf() {
     for i in 0..total {
         let truth = classes[i % 3];
         let query = cbf(truth, 96, 0.35, 10_000 + i as u64);
-        let (neighbors, _) = engine.knn(&store, &query, 1, DtwKind::MaxAbs).expect("knn");
+        let neighbors = engine
+            .knn_governed(&store, &query, 1, &EngineOpts::new().kind(DtwKind::MaxAbs))
+            .expect("knn")
+            .matches;
         let predicted = labels[neighbors[0].id as usize];
         if predicted == truth {
             correct += 1;
@@ -88,7 +91,10 @@ fn knn_majority_vote_is_robust() {
     for i in 0..15 {
         let truth = [CbfClass::Cylinder, CbfClass::Bell, CbfClass::Funnel][i % 3];
         let query = cbf(truth, 80, 0.5, 5_000 + i as u64);
-        let (neighbors, _) = engine.knn(&store, &query, 3, DtwKind::MaxAbs).expect("knn");
+        let neighbors = engine
+            .knn_governed(&store, &query, 3, &EngineOpts::new().kind(DtwKind::MaxAbs))
+            .expect("knn")
+            .matches;
         for n in &neighbors {
             total_neighbors += 1;
             if labels[n.id as usize] == truth {

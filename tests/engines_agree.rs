@@ -265,7 +265,10 @@ fn knn_agrees_with_tolerance_search_boundary() {
     let store = store_with(&data);
     let tw = TwSimSearch::build(&store).expect("build");
     let query = generate_queries(&data, 1, 12).remove(0);
-    let (neighbors, _) = tw.knn(&store, &query, 5, DtwKind::MaxAbs).expect("knn");
+    let neighbors = tw
+        .knn_governed(&store, &query, 5, &EngineOpts::new().kind(DtwKind::MaxAbs))
+        .expect("knn")
+        .matches;
     assert_eq!(neighbors.len(), 5);
     let radius = neighbors.last().unwrap().distance;
     let within = tw

@@ -1,4 +1,4 @@
-//! TWNP v1 wire-format stability and corruption rejection.
+//! TWNP v2 wire-format stability and corruption rejection.
 //!
 //! The frame layout is a public contract with the same stability
 //! discipline as the TWS1/TWS2/TWR2 on-disk formats: the header fields
@@ -40,7 +40,7 @@ fn golden_frame() -> Vec<u8> {
 fn header_layout_is_pinned() {
     // frame := "TWNP" version:u8 kind:u8 len:u32le payload crc:u32le
     assert_eq!(MAGIC, *b"TWNP");
-    assert_eq!(VERSION, 1);
+    assert_eq!(VERSION, 2);
     assert_eq!(HEADER_BYTES, 10);
     assert_eq!(TRAILER_BYTES, 4);
 
@@ -75,11 +75,26 @@ fn golden_request_payload_is_pinned() {
 fn golden_frame_bytes_are_pinned() {
     // The complete golden frame, CRC trailer included. Regenerate only on
     // a deliberate, versioned protocol change.
-    let expected = "54574e5001014800000007000000dc0500000000000010270000000000000000\
+    let expected = "54574e5002014800000007000000dc0500000000000010270000000000000000\
                     0000000000004000000000000000000000000000d03f0300000000000000000\
-                    0f03f00000000000004c00000000000000000c4fa8083";
+                    0f03f00000000000004c00000000000000000eac6145e";
     let actual: String = golden_frame().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(actual, expected);
+}
+
+#[test]
+fn version_1_frames_are_refused() {
+    // v1 carried a 22-word ledger; a well-formed v1 frame (its CRC
+    // recomputed) is refused by version before any payload is read.
+    let mut bytes = golden_frame();
+    bytes[4] = 1;
+    let covered = bytes.len() - TRAILER_BYTES;
+    let crc = tw_storage::crc32(&bytes[..covered]);
+    bytes[covered..].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(
+        decode_frame(&bytes, DEFAULT_MAX_PAYLOAD),
+        Err(FrameError::UnsupportedVersion(1))
+    ));
 }
 
 #[test]

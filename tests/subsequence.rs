@@ -5,10 +5,14 @@
 use proptest::prelude::*;
 
 use tw_core::distance::{dtw, DtwKind};
-use tw_core::search::{StFilterSearch, SubsequenceIndex, WindowSpec};
+use tw_core::search::{EngineOpts, StFilterSearch, SubsequenceIndex, WindowSpec};
 use tw_storage::{MemPager, SequenceStore};
 use tw_suffix::{CategoryMethod, StFilter};
 use tw_workload::{generate_random_walks, RandomWalkConfig};
+
+fn max_abs() -> EngineOpts {
+    EngineOpts::new().kind(DtwKind::MaxAbs)
+}
 
 fn store_with(data: &[Vec<f64>]) -> SequenceStore<MemPager> {
     let mut store = SequenceStore::in_memory();
@@ -54,9 +58,10 @@ fn window_index_matches_brute_force_on_random_walks() {
     for (qi, base) in data.iter().take(4).enumerate() {
         let query: Vec<f64> = base[10..26].iter().map(|v| v + 0.01).collect();
         for eps in [0.02, 0.05, 0.2] {
-            let (found, _) = index
-                .search(&store, &query, eps, DtwKind::MaxAbs)
-                .expect("search");
+            let found = index
+                .search_governed(&store, &query, eps, &max_abs())
+                .expect("search")
+                .matches;
             let mut got: Vec<(u64, usize, usize)> =
                 found.iter().map(|m| (m.id, m.offset, m.len)).collect();
             got.sort_unstable();
@@ -110,12 +115,14 @@ fn st_filter_and_window_index_agree_on_shared_universe() {
     for base in data.iter().take(3) {
         let query = base[8..15].to_vec();
         for eps in [0.03, 0.08] {
-            let (via_index, _) = index
-                .search(&store, &query, eps, DtwKind::MaxAbs)
-                .expect("window index search");
-            let (via_st, _) = st
-                .subsequence_search(&store, &query, eps, DtwKind::MaxAbs)
-                .expect("st subsequence search");
+            let via_index = index
+                .search_governed(&store, &query, eps, &max_abs())
+                .expect("window index search")
+                .matches;
+            let via_st = st
+                .subsequence_search_governed(&store, &query, eps, &max_abs())
+                .expect("st subsequence search")
+                .matches;
             for m in &via_index {
                 assert!(
                     via_st
@@ -145,9 +152,10 @@ proptest! {
         let spec = WindowSpec::new(3, 9, 1, 1).expect("spec");
         let index = SubsequenceIndex::build(&store, spec).expect("build");
         let query: Vec<f64> = data[0].iter().take(5).copied().collect();
-        let (found, _) = index
-            .search(&store, &query, eps, DtwKind::MaxAbs)
-            .expect("search");
+        let found = index
+            .search_governed(&store, &query, eps, &max_abs())
+            .expect("search")
+            .matches;
         let mut got: Vec<(u64, usize, usize)> =
             found.iter().map(|m| (m.id, m.offset, m.len)).collect();
         got.sort_unstable();
