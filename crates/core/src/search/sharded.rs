@@ -63,7 +63,7 @@ use crate::search::{
     EngineHealth, EngineOpts, ResilientSearch, SearchEngine, SearchOutcome, SearchStats,
     ShardedKnnOutcome, TwSimSearch,
 };
-use crate::stats::{wall_now, QueryStats};
+use crate::stats::wall_now;
 
 /// One shard: its slice of the id space, its open segment store, its
 /// (resilient) per-shard engine and its optional envelope sidecar.
@@ -350,8 +350,7 @@ impl<S: Pager + Send> ShardedSearch<S> {
                 .refine(&shard.store, probe, query, epsilon, opts)
         });
 
-        let mut matches = Vec::new();
-        let mut query_stats = QueryStats::default();
+        let mut merged = SearchOutcome::default();
         let mut io = IoProfile::default();
         let mut per_shard = Vec::with_capacity(results.len());
         let mut degraded: Vec<String> = Vec::new();
@@ -360,32 +359,26 @@ impl<S: Pager + Send> ShardedSearch<S> {
             for m in &mut out.matches {
                 m.id += shard.base_id;
             }
-            matches.extend(out.matches.iter().copied());
-            query_stats.merge(&out.query_stats);
+            merged.matches.extend(out.matches.iter().copied());
+            merged.query_stats.merge(&out.query_stats);
             io.add(&out.stats.io);
             if let EngineHealth::Degraded { reason, .. } = &out.health {
                 degraded.push(format!("shard {i}: {reason}"));
             }
             per_shard.push(out);
         }
-        let health = if degraded.is_empty() {
-            EngineHealth::Healthy
-        } else {
-            EngineHealth::Degraded {
-                fallback: "lb-scan",
-                reason: degraded.join("; "),
-            }
-        };
         // The merged view reports the fan-out's wall time, not the sum of
         // the shards' times.
         let db_size = usize::try_from(self.total_sequences()).unwrap_or(usize::MAX);
-        let merged = SearchOutcome {
-            matches,
-            stats: SearchStats::from_ledger(&query_stats, io, db_size, started.elapsed()),
-            health,
-            query_stats,
-            termination: termination_of(&token),
-        };
+        merged.stats =
+            SearchStats::from_ledger(&merged.query_stats, io, db_size, started.elapsed());
+        if !degraded.is_empty() {
+            merged.health = EngineHealth::Degraded {
+                fallback: "lb-scan",
+                reason: degraded.join("; "),
+            };
+        }
+        merged.termination = termination_of(&token);
         Ok(ShardedOutcome { merged, per_shard })
     }
 

@@ -8,9 +8,10 @@
 //! ```
 //!
 //! plus `matches <= verified + abandoned` (a match must have been DTW'd) and
-//! agreement between the legacy `SearchStats` aggregates and the new
-//! `QueryStats` pipeline counters. A broken counter site anywhere in an
-//! engine shows up here as an unbalanced ledger.
+//! `verified + abandoned + pivot_dtw == dtw_invocations` in the `SearchStats`
+//! view derived from the ledger, for the range engines, kNN and both window
+//! searches. A broken counter site anywhere in an engine shows up here as an
+//! unbalanced ledger.
 
 use tw_core::distance::DtwKind;
 use tw_core::search::{
